@@ -28,6 +28,7 @@
 //! so the bits are those of a fresh tape. DESIGN.md §4j has the details.
 
 use crate::optim::SparseRowGrad;
+use facility_linalg::rng::splitmix64;
 use facility_linalg::{kernels, ops, Matrix, Rng};
 use std::sync::Arc;
 
@@ -39,6 +40,14 @@ const NORM_EPS: f32 = 1e-12;
 /// [`Tape::missed_reuse`]. Subgraph-sized values and gradients sit far
 /// above it; scalars, score columns and weight tiles sit below.
 pub const LARGE_BUFFER: usize = 1 << 14;
+
+/// A fresh large buffer is allocated with `1 / LARGE_HEADROOM` spare
+/// capacity, so a slot whose step grows by up to that much still reuses
+/// its spare. Batch subgraphs differ in size from step to step; without
+/// the headroom every step that beats the largest so far reallocates its
+/// slots, and those frees and reallocations fragment the heap differently
+/// from run to run.
+const LARGE_HEADROOM: usize = 8;
 
 /// Filler for the part of a buffer an op promises to overwrite in full.
 /// Under `debug-audit` it is NaN, like the spares [`Tape::reset`]
@@ -214,9 +223,51 @@ enum Op {
     },
 }
 
+impl Op {
+    /// The tape nodes this op reads.
+    fn inputs(&self) -> [Option<Var>; 2] {
+        match *self {
+            Op::Leaf | Op::ParamGather { .. } => [None, None],
+            Op::Gather { src: a, .. }
+            | Op::Scale { a, .. }
+            | Op::AddScalar { a }
+            | Op::LeakyRelu { a }
+            | Op::Relu { a }
+            | Op::Tanh { a }
+            | Op::Sigmoid { a }
+            | Op::LogSigmoid { a }
+            | Op::RowwiseNormSq { a }
+            | Op::NormalizeRows { a }
+            | Op::SegmentSoftmax { a, .. }
+            | Op::SegmentSum { a, .. }
+            | Op::Dropout { a, .. }
+            | Op::OverrideRows { a, .. }
+            | Op::SumAll { a }
+            | Op::MeanAll { a }
+            | Op::FrobeniusSq { a } => [Some(a), None],
+            Op::MatMul { a, b }
+            | Op::MatMulTransB { a, b }
+            | Op::Add { a, b }
+            | Op::Sub { a, b }
+            | Op::Mul { a, b }
+            | Op::AddBroadcastRow { a, bias: b }
+            | Op::MulBroadcastCol { a, w: b }
+            | Op::ConcatCols { a, b }
+            | Op::ConcatRows { a, b }
+            | Op::RowwiseDot { a, b }
+            | Op::GatherScaleSegmentSum { h: a, att: b, .. } => [Some(a), Some(b)],
+        }
+    }
+}
+
 struct Node {
     value: Matrix,
     op: Op,
+    /// Whether any gradient flows into this node: set on [`Tape::leaf`]
+    /// and [`Tape::gather_leaf`], clear on [`Tape::constant`], and the OR
+    /// of the inputs' bits for every op. The backward sweep skips every
+    /// contribution into a node without it.
+    requires_grad: bool,
 }
 
 /// The buffers one node slot held when the tape was last reset, kept for
@@ -227,6 +278,24 @@ struct Spare {
     grad: Vec<f32>,
     /// [`Op::Dropout`]'s keep mask.
     mask: Vec<bool>,
+}
+
+/// The uniform `[0, 1)` draw (24 random bits, as `Rng::gen_f32` takes
+/// them) that [`Tape::dropout_keyed`] compares against `keep_prob` for
+/// element `(row, col)` under `key`: the `col + 1`-th output of a
+/// splitmix64 stream started at `splitmix64(key ^ splitmix64(row))`.
+pub fn keyed_unit(key: u64, row: u64, col: u64) -> f32 {
+    keyed_row(key, row)(col)
+}
+
+/// [`keyed_unit`] with the row's stream start hashed once.
+fn keyed_row(key: u64, row: u64) -> impl Fn(u64) -> f32 {
+    const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+    let start = splitmix64(key ^ splitmix64(row));
+    move |col| {
+        let bits = splitmix64(start.wrapping_add(GOLDEN.wrapping_mul(col)));
+        ((bits >> 32) as u32 >> 8) as f32 * (1.0 / (1u32 << 24) as f32)
+    }
 }
 
 /// A `len`-element buffer from `spare` when its capacity fits, else a
@@ -247,7 +316,12 @@ fn take_buf<T: Copy>(
             *missed += 1;
         }
         drop(buf);
-        return vec![fill; len];
+        if len < LARGE_BUFFER {
+            return vec![fill; len];
+        }
+        let mut fresh = Vec::with_capacity(len + len / LARGE_HEADROOM);
+        fresh.resize(len, fill);
+        return fresh;
     }
     if all {
         buf.clear();
@@ -318,8 +392,14 @@ impl Tape {
     /// spare; leaf values (the caller's buffers) and spares left from
     /// older steps are freed, so the tape retains at most the buffers the
     /// step just ended held. [`Var`]s from before the reset must not be
-    /// used after it.
+    /// used after it. Resetting a tape that recorded nothing since its
+    /// last reset keeps its spares, so a caller may reset early — to drop
+    /// the shared index buffers the ops held — before a step that resets
+    /// again.
     pub fn reset(&mut self) {
+        if self.nodes.is_empty() {
+            return;
+        }
         self.spares.clear();
         let mut grads = self.grads.drain(..);
         for node in self.nodes.drain(..) {
@@ -380,6 +460,14 @@ impl Tape {
     }
 
     fn push(&mut self, value: Matrix, op: Op) -> Var {
+        let requires_grad = match op {
+            Op::Leaf | Op::ParamGather { .. } => true,
+            _ => op.inputs().into_iter().flatten().any(|v| self.nodes[v.0].requires_grad),
+        };
+        self.push_node(value, op, requires_grad)
+    }
+
+    fn push_node(&mut self, value: Matrix, op: Op, requires_grad: bool) -> Var {
         debug_assert!(value.all_finite(), "op produced non-finite values");
         if let Some(s) = self.spares.get_mut(self.nodes.len()) {
             // Whatever the producing op did not claim is freed now. A
@@ -389,7 +477,7 @@ impl Tape {
             discard(&mut s.value, missed);
             discard(&mut s.mask, missed);
         }
-        self.nodes.push(Node { value, op });
+        self.nodes.push(Node { value, op, requires_grad });
         Var(self.nodes.len() - 1)
     }
 
@@ -444,10 +532,18 @@ impl Tape {
         self.push(value, Op::Leaf)
     }
 
-    /// Constant leaf — identical to [`Tape::leaf`]; the distinction is
-    /// documentation only (callers simply never read its gradient).
+    /// Constant leaf: a [`Tape::leaf`] that takes no gradient. Ops whose
+    /// inputs are all constants take none either, and the backward sweep
+    /// skips the work of every contribution into them (an attention
+    /// column's per-edge dots, a frozen weight's `Aᵀ·g`).
     pub fn constant(&mut self, value: Matrix) -> Var {
-        self.push(value, Op::Leaf)
+        self.push_node(value, Op::Leaf, false)
+    }
+
+    /// Whether the backward sweep computes a gradient for `v` (see
+    /// [`Tape::constant`]).
+    pub fn requires_grad(&self, v: Var) -> bool {
+        self.nodes[v.0].requires_grad
     }
 
     // ------------------------------------------------------------------
@@ -859,6 +955,44 @@ impl Tape {
         self.push(Matrix::from_vec(rows, cols, out), op)
     }
 
+    /// Row-keyed inverted dropout: element `(r, c)` survives iff
+    /// [`keyed_unit`]`(key, rows[r], c) < keep_prob`, so a row's mask is a
+    /// pure function of `key` and the row's id `rows[r]` — the same for
+    /// that id whichever other rows share the matrix, and whatever its
+    /// position. Survivors are scaled by `1 / keep_prob` as in
+    /// [`Tape::dropout`]; `keep_prob == 1.0` is the identity.
+    ///
+    /// # Panics
+    /// Panics if `keep_prob` is outside `(0, 1]` or `rows` does not name
+    /// every row of `a`.
+    pub fn dropout_keyed(&mut self, a: Var, keep_prob: f32, key: u64, rows: &[usize]) -> Var {
+        assert!(
+            (0.0..=1.0).contains(&keep_prob) && keep_prob > 0.0,
+            "dropout: keep_prob must be in (0, 1]"
+        );
+        if keep_prob >= 1.0 {
+            return a;
+        }
+        let (n_rows, cols) = self.value(a).shape();
+        assert_eq!(rows.len(), n_rows, "dropout_keyed: one id per row");
+        let scale = 1.0 / keep_prob;
+        let mask_spare = self.spares.get_mut(self.nodes.len()).map(|s| &mut s.mask);
+        let mut keep = take_buf(mask_spare, n_rows * cols, false, false, &mut self.missed);
+        let mut out = self.value_buf(n_rows * cols, false);
+        let av = self.nodes[a.0].value.as_slice();
+        let c = cols.max(1);
+        let chunks = out.chunks_exact_mut(c).zip(keep.chunks_exact_mut(c)).zip(av.chunks_exact(c));
+        for (((orow, krow), arow), &id) in chunks.zip(rows) {
+            let draw = keyed_row(key, id as u64);
+            for (col, ((o, k), &x)) in orow.iter_mut().zip(krow).zip(arow).enumerate() {
+                *k = draw(col as u64) < keep_prob;
+                *o = x * if *k { scale } else { 0.0 };
+            }
+        }
+        let op = Op::Dropout { a, keep: Arc::new(keep), scale };
+        self.push(Matrix::from_vec(n_rows, cols, out), op)
+    }
+
     /// Dropout with an explicit keep mask (exposed for deterministic
     /// tests): kept elements are scaled by `1 / keep_prob`, the others
     /// zeroed.
@@ -986,6 +1120,9 @@ impl Tape {
     /// fill a temporary and add it — the adds `Matrix::add_assign` of a
     /// separate delta performs, so the bits do not depend on the path.
     fn acc_with(&mut self, v: Var, zeroed: bool, fill: impl FnOnce(&[Node], &mut [f32])) {
+        if !self.nodes[v.0].requires_grad {
+            return;
+        }
         if self.grads[v.0].is_none() {
             let mut d = self.grad_buf(v, zeroed);
             fill(&self.nodes, d.as_mut_slice());
@@ -1003,6 +1140,9 @@ impl Tape {
     /// slot already has a gradient, copies into the slot's buffer on
     /// first touch.
     fn acc_ref(&mut self, v: Var, delta: &Matrix) {
+        if !self.nodes[v.0].requires_grad {
+            return;
+        }
         match &mut self.grads[v.0] {
             Some(g) => g.add_assign(delta),
             None => self.acc_with(v, false, |_, out| out.copy_from_slice(delta.as_slice())),
@@ -1018,6 +1158,13 @@ impl Tape {
         }
     }
 
+    /// A zeroed throwaway buffer shaped like `v`'s value, for the half of
+    /// a fused two-output backward kernel whose input takes no gradient.
+    fn scratch_grad(&self, v: Var) -> Matrix {
+        let (rows, cols) = self.nodes[v.0].value.shape();
+        Matrix::zeros(rows, cols)
+    }
+
     /// Row-sparse gradient accumulation: `grad[v][indices[i]] += src[i]`.
     ///
     /// When `v` already has a gradient the rows scatter straight into it,
@@ -1027,6 +1174,9 @@ impl Tape {
     /// backward pass on batch-local subgraphs (~75k-row unions, ~1k-row
     /// scatters).
     fn acc_scatter(&mut self, v: Var, cols: usize, indices: &[usize], src: &[f32]) {
+        if !self.nodes[v.0].requires_grad {
+            return;
+        }
         let mut d = self.take_acc(v);
         kernels::scatter_add_rows(d.as_mut_slice(), cols, indices, src);
         self.grads[v.0] = Some(d);
@@ -1052,11 +1202,15 @@ impl Tape {
                 // it once and riding the register-blocked row-major matmul
                 // is ~3x faster on tall gradients than the dot-per-element
                 // `A·Bᵀ` kernel; the transposed copy is a few KiB.
-                let bt = (bv.len() <= SMALL_WEIGHT_TRANSPOSE_LIMIT).then(|| bv.transpose());
+                let small = bv.len() <= SMALL_WEIGHT_TRANSPOSE_LIMIT;
+                let bt = (small && self.nodes[a.0].requires_grad).then(|| bv.transpose());
                 self.acc_with(a, true, |nodes, out| match &bt {
                     Some(bt) => g.matmul_into(bt, out),
                     None => g.matmul_transpose_b_into(&nodes[b.0].value, out),
                 });
+                if !self.nodes[b.0].requires_grad {
+                    return;
+                }
                 // `dB = Aᵀ·g` rides the accumulating transpose-matmul
                 // kernel straight into the grad slot: on first touch the
                 // slot starts from zeros exactly like the former
@@ -1127,12 +1281,32 @@ impl Tape {
             }
             Op::MulBroadcastCol { a, w } => {
                 let (a, w) = (*a, *w);
+                let (need_a, need_w) =
+                    (self.nodes[a.0].requires_grad, self.nodes[w.0].requires_grad);
+                if need_a && !need_w {
+                    // `da[r][c] += g[r][c] · w[r]` alone: the fused
+                    // kernel's `da` half, element for element.
+                    let mut da = self.take_acc(a);
+                    let (wv, cols) = (self.nodes[w.0].value.as_slice(), g.cols().max(1));
+                    let rows = da
+                        .as_mut_slice()
+                        .chunks_exact_mut(cols)
+                        .zip(g.as_slice().chunks_exact(cols));
+                    for ((da_row, g_row), &wr) in rows.zip(wv) {
+                        for (d, &gv) in da_row.iter_mut().zip(g_row) {
+                            *d += gv * wr;
+                        }
+                    }
+                    self.grads[a.0] = Some(da);
+                    return;
+                }
                 // Take both grad slots (zeroed on first touch) and fold
                 // the fused kernel's `+=` halves straight into them — the
                 // exact element adds the former temporary-then-
                 // `add_assign` detour performed, with two fewer
-                // full-matrix passes.
-                let mut da = self.take_acc(a);
+                // full-matrix passes. A half nobody needs lands in a
+                // scratch buffer.
+                let mut da = if need_a { self.take_acc(a) } else { self.scratch_grad(a) };
                 let mut dw = self.take_acc(w);
                 kernels::mul_broadcast_col_grad_acc(
                     g.as_slice(),
@@ -1142,7 +1316,9 @@ impl Tape {
                     da.as_mut_slice(),
                     dw.as_mut_slice(),
                 );
-                self.grads[a.0] = Some(da);
+                if need_a {
+                    self.grads[a.0] = Some(da);
+                }
                 self.grads[w.0] = Some(dw);
             }
             Op::Scale { a, s } => {
@@ -1166,6 +1342,9 @@ impl Tape {
                 // (the per-element adds a split-then-`add_assign` would
                 // perform), copied into the slot's buffer on first touch.
                 for (v, lo, hi) in [(a, 0, ac), (b, ac, n)] {
+                    if !self.nodes[v.0].requires_grad {
+                        continue;
+                    }
                     let width = (hi - lo).max(1);
                     let g_rows = g.as_slice().chunks_exact(n.max(1));
                     match &mut self.grads[v.0] {
@@ -1272,14 +1451,35 @@ impl Tape {
             Op::GatherScaleSegmentSum { h, att, tails, heads } => {
                 let (h, att) = (*h, *att);
                 let (tails, heads) = (Arc::clone(tails), Arc::clone(heads));
+                let (need_h, need_att) =
+                    (self.nodes[h.0].requires_grad, self.nodes[att.0].requires_grad);
+                if need_h && !need_att {
+                    // A constant attention column (every CKAT caller):
+                    // `dh[tails[e]] += g[heads[e]] · att[e]` in edge order
+                    // is the forward aggregation with the edge roles
+                    // swapped — the same products and adds as the fused
+                    // backward's `dh` half, without the per-edge dots.
+                    let mut dh = self.take_acc(h);
+                    kernels::gather_scale_segment_sum_into(
+                        g.as_slice(),
+                        g.cols(),
+                        &heads,
+                        self.nodes[att.0].value.as_slice(),
+                        &tails,
+                        dh.as_mut_slice(),
+                    );
+                    self.grads[h.0] = Some(dh);
+                    return;
+                }
                 // Mirror image of the forward fusion: one pass over the
                 // edges folds `dh[tails[e]] += g[heads[e]] · att[e]` and
                 // `datt[e] += g[heads[e]] ⋅ h[tails[e]]` straight into
                 // the grad slots (zeroed on first touch). Values, dots
                 // and scatter order all match the unfused
                 // segment-sum / mul-broadcast / gather backward chain,
-                // so the bits do too.
-                let mut dh = self.take_acc(h);
+                // so the bits do too. A half nobody needs lands in a
+                // scratch buffer.
+                let mut dh = if need_h { self.take_acc(h) } else { self.scratch_grad(h) };
                 let mut datt = self.take_acc(att);
                 let hv = &self.nodes[h.0].value;
                 kernels::gather_scale_segment_sum_grad(
@@ -1292,12 +1492,17 @@ impl Tape {
                     dh.as_mut_slice(),
                     datt.as_mut_slice(),
                 );
-                self.grads[h.0] = Some(dh);
+                if need_h {
+                    self.grads[h.0] = Some(dh);
+                }
                 self.grads[att.0] = Some(datt);
             }
             Op::SegmentSum { a, seg_of_row } => {
                 let (a, seg_of_row) = (*a, Arc::clone(seg_of_row));
                 let cols = g.cols();
+                if !self.nodes[a.0].requires_grad {
+                    return;
+                }
                 if let Some(da) = &mut self.grads[a.0] {
                     // Gather-add each gradient row straight into the
                     // existing slot — the same element adds the
@@ -1762,6 +1967,79 @@ mod tests {
         let loss = t.sum_all(y);
         t.backward(loss);
         assert_eq!(t.grad(x).unwrap().as_slice(), &[2., 0., 2., 0.]);
+    }
+
+    /// A keyed row's mask, value and gradient depend on its id and the
+    /// key only: the row for id 7 is the same alone, among other rows,
+    /// and at another position.
+    #[test]
+    fn keyed_dropout_row_does_not_depend_on_other_rows() {
+        let row7: Vec<f32> = (0..40).map(|c| c as f32 * 0.25 - 3.0).collect();
+        let run = |ids: &[usize], at: usize| {
+            let mut data = vec![1.5; ids.len() * 40];
+            data[at * 40..(at + 1) * 40].copy_from_slice(&row7);
+            let mut t = Tape::new();
+            let x = t.leaf(Matrix::from_vec(ids.len(), 40, data));
+            let y = t.dropout_keyed(x, 0.7, 0xC0FFEE, ids);
+            let w = t.constant(Matrix::filled(ids.len(), 40, 0.5));
+            let yw = t.mul(y, w);
+            let loss = t.sum_all(yw);
+            t.backward(loss);
+            let bits = |m: &Matrix| -> Vec<u32> { m.row(at).iter().map(|v| v.to_bits()).collect() };
+            (bits(t.value(y)), bits(t.grad(x).unwrap()))
+        };
+        let alone = run(&[7], 0);
+        assert_eq!(alone, run(&[2, 7, 9], 1));
+        assert_eq!(alone, run(&[9, 5, 3, 7], 3));
+        let (value, _) = &alone;
+        let dropped = value.iter().filter(|&&b| b == 0.0f32.to_bits() || b == (-0.0f32).to_bits());
+        assert!((1..40).contains(&dropped.count()), "keep 0.7 drops some of 40 elements");
+        // Another key or another id draws another mask.
+        let mask = |key: u64, id: u64| -> Vec<bool> {
+            (0..64).map(|c| keyed_unit(key, id, c) < 0.5).collect()
+        };
+        assert_ne!(mask(1, 7), mask(2, 7));
+        assert_ne!(mask(1, 7), mask(1, 8));
+    }
+
+    #[test]
+    fn keyed_dropout_identity_at_keep_one() {
+        let mut t = Tape::new();
+        let x = t.leaf(Matrix::filled(2, 2, 3.0));
+        assert_eq!(t.dropout_keyed(x, 1.0, 5, &[0, 1]), x);
+    }
+
+    /// Constants take no gradient, nor do ops over constants only, and
+    /// skipping them leaves every requires-grad gradient's bits alone.
+    #[test]
+    fn constants_take_no_gradient_and_leave_the_others_bitwise() {
+        let h_data: Vec<f32> = (0..15).map(|i| (i as f32 * 0.37).sin()).collect();
+        let att_data: Vec<f32> = (0..6).map(|e| 0.1 + e as f32 * 0.13).collect();
+        let w_data: Vec<f32> = (0..6).map(|i| 0.2 - i as f32 * 0.07).collect();
+        let run = |att_is_leaf: bool| {
+            let mut t = Tape::new();
+            let h = t.leaf(Matrix::from_vec(5, 3, h_data.clone()));
+            let col = Matrix::from_vec(6, 1, att_data.clone());
+            let att = if att_is_leaf { t.leaf(col) } else { t.constant(col) };
+            let w = t.constant(Matrix::from_vec(3, 2, w_data.clone()));
+            let tails = Arc::new(vec![1, 4, 0, 2, 2, 3]);
+            let heads = Arc::new(vec![0, 0, 1, 2, 2, 2]);
+            let agg = t.gather_scale_segment_sum(h, att, tails, heads, 3);
+            let z = t.matmul(agg, w);
+            let loss = t.frobenius_sq(z);
+            assert!(t.requires_grad(loss));
+            assert!(!t.requires_grad(w));
+            t.backward(loss);
+            assert!(t.grad(w).is_none(), "a constant weight takes no gradient");
+            assert_eq!(t.grad(att).is_some(), att_is_leaf);
+            t.grad(h).unwrap().as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(run(false), run(true), "dh must not depend on whether datt is computed");
+
+        let mut t = Tape::new();
+        let c = t.constant(Matrix::filled(2, 2, 1.0));
+        let d = t.tanh(c);
+        assert!(!t.requires_grad(d), "ops over constants only take no gradient");
     }
 
     #[test]

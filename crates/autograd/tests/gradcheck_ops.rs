@@ -290,6 +290,28 @@ fn grad_mean_all() {
     });
 }
 
+/// The fused attention aggregation, once per differentiable input: the
+/// embedding rows with the attention column constant (CKAT's case), and
+/// the attention column as the leaf with the rows constant.
+#[test]
+fn grad_gather_scale_segment_sum() {
+    let tails = Arc::new(vec![1usize, 4, 0, 2, 2, 3, 4]);
+    let heads = Arc::new(vec![0usize, 0, 1, 2, 2, 2, 3]);
+    let att = sample(7, 1, 40);
+    let h = sample(5, 3, 41);
+    let (t1, h1, a1) = (Arc::clone(&tails), Arc::clone(&heads), att.clone());
+    check("gather_scale_segment_sum rows", h.clone(), move |t, x| {
+        let a = t.constant(a1.clone());
+        let y = t.gather_scale_segment_sum(x, a, Arc::clone(&t1), Arc::clone(&h1), 4);
+        t.frobenius_sq(y)
+    });
+    check("gather_scale_segment_sum attention", att, move |t, x| {
+        let hv = t.constant(h.clone());
+        let y = t.gather_scale_segment_sum(hv, x, Arc::clone(&tails), Arc::clone(&heads), 4);
+        t.frobenius_sq(y)
+    });
+}
+
 /// End-to-end composite: a miniature one-layer attentive propagation +
 /// BPR-style loss, exactly the computation pattern CKAT uses.
 #[test]

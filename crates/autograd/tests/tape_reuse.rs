@@ -153,7 +153,21 @@ const CASES: &[(&str, Case)] = &[
         let y = t.gather_scale_segment_sum(h, att, Arc::new(tails), Arc::new(heads), n / 2 + 1);
         with_loss(t, vec![h, att], y)
     }),
+    ("GatherScaleSegmentSum (constant attention)", |t, n| {
+        let h = t.leaf(data(n, 4, 1));
+        let att = t.constant(data(2 * n, 1, 2));
+        let tails: Vec<usize> = (0..2 * n).map(|e| (e * 7 + 3) % n).collect();
+        let heads: Vec<usize> = (0..2 * n).map(|e| e % (n / 2 + 1)).collect();
+        let y = t.gather_scale_segment_sum(h, att, Arc::new(tails), Arc::new(heads), n / 2 + 1);
+        with_loss(t, vec![h], y)
+    }),
     ("Dropout", |t, n| unary(t, n, |t, x| t.dropout(x, 0.7, &mut seeded_rng(5)))),
+    ("Dropout (keyed)", |t, n| {
+        let x = t.leaf(data(n, 3, 1));
+        let ids: Vec<usize> = (0..n).map(|i| 3 * i + 1).collect();
+        let y = t.dropout_keyed(x, 0.7, 11, &ids);
+        with_loss(t, vec![x], y)
+    }),
     ("Dropout (explicit mask)", |t, n| {
         let x = t.leaf(data(n, 3, 1));
         let y = t.dropout_with_mask(x, (0..3 * n).map(|i| i % 3 != 1).collect(), 0.5);

@@ -6,14 +6,15 @@
 //! backward / optimizer / prefetch timings, estimated forward FLOPs, and
 //! gathered-vs-full row/edge counts), and writes the lot to
 //! `BENCH_ckat_epoch.json` so later PRs have a perf trajectory to compare
-//! against. Dropout is forced off (`keep_prob = 1.0`) in both modes so the
-//! two loss trajectories are directly comparable — the sparse/lazy
-//! batch-local path is proven bitwise-equal to the dense full-graph oracle
-//! in that regime (`tests/batch_local_diff.rs`), and this binary asserts
-//! the trajectories agree within float tolerance as an end-to-end check of
-//! the same claim. Exits nonzero if batch-local mode fails to gather
-//! strictly fewer rows and edges than full-graph propagation, or if the
-//! losses drift apart.
+//! against. Both modes train at the paper's dropout: masks are keyed by
+//! micro-batch, layer, entity and column, so the sparse/lazy batch-local
+//! frontier path is bitwise-equal to the dense full-graph oracle with
+//! dropout on (`tests/batch_local_diff.rs`), and this binary asserts the
+//! two loss trajectories are bitwise equal as an end-to-end check of the
+//! same claim. Exits nonzero if the losses differ in any bit, if the
+//! batch-local layers compute no fewer head rows than the full-graph
+//! layers (a gate that holds even where the closure is every entity), or
+//! if batch-local mode copies no fewer edges than the full graph.
 //!
 //! `--epochs N` overrides the default 3 epochs per mode; `--huge` profiles
 //! the ~106k-entity stress world where the sparse path's advantage is
@@ -24,7 +25,8 @@
 //! deterministic macro-step path at every replica count in
 //! `{1, 2, 4, 8} ∩ [1, N]`, asserts the loss trajectories are **bitwise
 //! identical** across counts (the schedule is thread-count-invariant by
-//! construction), reports wall-clock speedups vs `R = 1`, and merges one
+//! construction, dropout included), reports wall-clock speedups vs
+//! `R = 1`, and merges one
 //! record per facility into `BENCH_ckat_replicas.json`. The `> 1.5×`
 //! speedup gate at `R = 4` only fires on the `--huge` world with at least
 //! 4 cores — on fewer cores the sweep still proves determinism and
@@ -47,13 +49,6 @@ use std::time::Instant;
 
 const DEFAULT_EPOCHS: usize = 3;
 
-/// Relative tolerance for the cross-mode loss comparison. The paths are
-/// bitwise-identical by construction at `keep_prob = 1.0`, but the gate is
-/// a float comparison so a future legitimate reordering (e.g. a fused
-/// kernel) degrades this check to "still training the same model" instead
-/// of tripping on the last ulp.
-const LOSS_RTOL: f32 = 1e-5;
-
 fn run_entry(mode: &str, epoch: usize, loss: f32, p: &EpochProfile) -> String {
     format!(
         concat!(
@@ -62,7 +57,7 @@ fn run_entry(mode: &str, epoch: usize, loss: f32, p: &EpochProfile) -> String {
             "\"backward_ns\": {}, \"optimizer_ns\": {}, \"extract_ns\": {}, ",
             "\"extract_wall_ns\": {}, \"extract_wait_ns\": {}, ",
             "\"hub_cache_ns\": {}, \"eval_ns\": {}, \"forward_flops\": {}, ",
-            "\"gathered_rows\": {}, \"gathered_edges\": {}, ",
+            "\"gathered_rows\": {}, \"gathered_edges\": {}, \"frontier_rows\": {}, ",
             "\"full_rows\": {}, \"full_edges\": {}, \"batches\": {}, ",
             "\"row_fraction\": {:.6}, \"edge_fraction\": {:.6}}}"
         ),
@@ -82,6 +77,7 @@ fn run_entry(mode: &str, epoch: usize, loss: f32, p: &EpochProfile) -> String {
         p.forward_flops,
         p.gathered_rows,
         p.gathered_edges,
+        p.frontier_rows,
         p.full_rows,
         p.full_edges,
         p.batches,
@@ -128,10 +124,6 @@ fn main() {
         let mut cfg = opts.ckat_config();
         cfg.batch_local = batch_local;
         cfg.base.batch_size = profile_batch;
-        // No dropout: makes the two modes' RNG consumption and loss
-        // trajectories directly comparable (bitwise-equal by the autograd
-        // differential tests).
-        cfg.base.keep_prob = 1.0;
         let d = cfg.base.embed_dim;
         cfg.layer_dims = vec![d, d / 2];
         let mut model = Ckat::new(&ctx, &cfg);
@@ -151,7 +143,7 @@ fn main() {
             eprintln!(
                 "  {mode} epoch {epoch}: loss {loss:.4}, forward {:.1} ms, \
                  backward {:.1} ms, optimizer {:.1} ms, extract {:.1} ms \
-                 (waited {:.1} ms), rows {}/{}, edges {}/{}",
+                 (waited {:.1} ms), rows {}/{}, layer rows {}, edges {}/{}",
                 p.forward_ns as f64 / 1e6,
                 p.backward_ns as f64 / 1e6,
                 p.optimizer_ns as f64 / 1e6,
@@ -159,6 +151,7 @@ fn main() {
                 p.extract_wait_ns as f64 / 1e6,
                 p.gathered_rows,
                 p.full_rows,
+                p.frontier_rows,
                 p.gathered_edges,
                 p.full_edges,
             );
@@ -177,6 +170,7 @@ fn main() {
             sum.forward_flops += p.forward_flops;
             sum.gathered_rows += p.gathered_rows;
             sum.gathered_edges += p.gathered_edges;
+            sum.frontier_rows += p.frontier_rows;
             sum.full_rows += p.full_rows;
             sum.full_edges += p.full_edges;
             sum.batches += p.batches;
@@ -202,6 +196,7 @@ fn main() {
             "  \"summary\": {{\n",
             "    \"batch_local_row_fraction\": {:.6},\n",
             "    \"batch_local_edge_fraction\": {:.6},\n",
+            "    \"batch_local_layer_row_fraction\": {:.6},\n",
             "    \"batch_local_flop_fraction\": {:.6},\n",
             "    \"optimizer_ns\": {{\"batch_local\": {}, \"full_graph\": {}}},\n",
             "    \"forward_speedup_vs_full\": {:.3},\n",
@@ -218,6 +213,7 @@ fn main() {
         entries.join(",\n"),
         local.row_fraction(),
         local.edge_fraction(),
+        local.frontier_rows as f64 / full.frontier_rows.max(1) as f64,
         local.forward_flops as f64 / full.forward_flops.max(1) as f64,
         local.optimizer_ns,
         full.optimizer_ns,
@@ -227,26 +223,28 @@ fn main() {
     );
     std::fs::write("BENCH_ckat_epoch.json", &json).expect("write BENCH_ckat_epoch.json");
     println!(
-        "batch-local gathered {:.1}% of rows, {:.1}% of edges; speedups vs full: \
-         forward {forward_speedup:.2}x, backward {backward_speedup:.2}x, \
-         end-to-end {end_to_end_speedup:.2}x -> BENCH_ckat_epoch.json",
+        "batch-local gathered {:.1}% of rows, {:.1}% of edges, computed {:.1}% of layer \
+         rows; speedups vs full: forward {forward_speedup:.2}x, backward \
+         {backward_speedup:.2}x, end-to-end {end_to_end_speedup:.2}x -> BENCH_ckat_epoch.json",
         100.0 * local.row_fraction(),
         100.0 * local.edge_fraction(),
+        100.0 * local.frontier_rows as f64 / full.frontier_rows.max(1) as f64,
     );
 
     for (epoch, (l, f)) in losses[0].iter().zip(&losses[1]).enumerate() {
-        assert!(
-            (l - f).abs() <= LOSS_RTOL * l.abs().max(1.0),
+        assert_eq!(
+            l.to_bits(),
+            f.to_bits(),
             "epoch {} loss diverged between modes: batch_local {l} vs full_graph {f}",
             epoch + 1
         );
     }
     assert!(
-        local.gathered_rows < local.full_rows,
-        "batch-local mode must gather strictly fewer rows than the full graph \
+        local.frontier_rows < full.frontier_rows,
+        "batch-local layers must compute strictly fewer head rows than the full graph's \
          ({} vs {})",
-        local.gathered_rows,
-        local.full_rows
+        local.frontier_rows,
+        full.frontier_rows
     );
     assert!(
         local.gathered_edges < local.full_edges,
@@ -301,9 +299,8 @@ fn run_replica_sweep(
         let mut cfg = opts.ckat_config();
         cfg.batch_local = true;
         cfg.base.batch_size = profile_batch;
-        // No dropout, as in the mode comparison: keeps the per-epoch loss a
-        // pure function of the seed so the cross-R bitwise gate is strict.
-        cfg.base.keep_prob = 1.0;
+        // Dropout keys come from each micro-batch's private stream, so the
+        // per-epoch loss is a pure function of the seed at any `R`.
         let d = cfg.base.embed_dim;
         cfg.layer_dims = vec![d, d / 2];
         cfg.base.replicas = r;

@@ -47,7 +47,7 @@ pub const MAGIC: [u8; 4] = *b"FKCK";
 /// `wall_ns`, `replicas`) appended to each epoch profile; 4 — split
 /// extraction attribution (`extract_wall_ns`) and the hub-cache refresh
 /// time (`hub_cache_ns`) appended to each epoch profile.
-pub const FORMAT_VERSION: u8 = 4;
+pub const FORMAT_VERSION: u8 = 5;
 
 const HEADER_LEN: usize = 4 + 1 + 4 + 8;
 
@@ -421,13 +421,34 @@ impl ModelState {
     }
 
     /// Serialize into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    ///
+    /// Fails with [`CkptError::Format`], before writing anything, when an
+    /// optimizer slot holds one Adam moment without the other: the format
+    /// records a slot's moments as one pair, so such a slot could only be
+    /// written as never stepped and would silently decode without its
+    /// moment.
+    pub fn encode(&self, w: &mut Writer) -> Result<(), CkptError> {
+        let a = &self.adam;
+        if a.m.len() != a.v.len() || a.m.len() != a.t.len() {
+            return Err(CkptError::Format(format!(
+                "optimizer state has {} first moments, {} second moments and {} step counts",
+                a.m.len(),
+                a.v.len(),
+                a.t.len()
+            )));
+        }
+        let paired = a.m.iter().zip(&a.v).map(|(m, v)| (m.is_some(), v.is_some()));
+        if let Some((i, (has_m, _))) = paired.enumerate().find(|(_, (m, v))| m != v) {
+            let (has, lacks) = if has_m { ("m", "v") } else { ("v", "m") };
+            return Err(CkptError::Format(format!(
+                "optimizer slot {i} has its {has} moment but no {lacks} moment"
+            )));
+        }
         w.put_u32(self.params.len() as u32);
         for (name, value) in &self.params {
             w.put_str(name);
             w.put_matrix(value);
         }
-        let a = &self.adam;
         w.put_f32(a.lr);
         w.put_f32(a.beta1);
         w.put_f32(a.beta2);
@@ -441,7 +462,7 @@ impl ModelState {
         }
         w.put_u32(a.m.len() as u32);
         for i in 0..a.m.len() {
-            // audit: unwrap — m/v/t are parallel arrays of equal length by construction.
+            // audit: unwrap — m/v/t are parallel arrays, their lengths checked above.
             match (&a.m[i], &a.v[i]) {
                 (Some(m), Some(v)) => {
                     w.put_u8(1);
@@ -450,7 +471,7 @@ impl ModelState {
                 }
                 _ => w.put_u8(0),
             }
-            // audit: unwrap — m/v/t are parallel arrays of equal length by construction.
+            // audit: unwrap — m/v/t are parallel arrays, their lengths checked above.
             w.put_u64(a.t[i]);
             // Format v2: per-row step counters for lazily-updated slots.
             match a.row_t.get(i).and_then(|r| r.as_ref()) {
@@ -464,6 +485,7 @@ impl ModelState {
                 None => w.put_u8(0),
             }
         }
+        Ok(())
     }
 
     /// Deserialize a snapshot written by [`ModelState::encode`].
@@ -687,7 +709,7 @@ mod tests {
 
         let state = ModelState::capture(&store, &adam);
         let mut w = Writer::new();
-        state.encode(&mut w);
+        state.encode(&mut w).unwrap();
         let bytes = w.into_bytes();
         let back = ModelState::decode(&mut Reader::new(&bytes)).unwrap();
 
@@ -704,6 +726,33 @@ mod tests {
             s2.m[0].as_ref().unwrap().as_slice(),
             adam.export_state().m[0].as_ref().unwrap().as_slice()
         );
+    }
+
+    /// A slot with one Adam moment and not the other cannot be written as
+    /// a pair: saving it is a structured error, not a silent "never
+    /// stepped" that would decode to `(None, None)`.
+    #[test]
+    fn half_paired_adam_slot_is_rejected_on_save() {
+        let mut store = ParamStore::new();
+        store.add("a", Matrix::filled(2, 2, 1.0));
+        let adam = Adam::default_for(&store, 0.05);
+        let mut state = ModelState::capture(&store, &adam);
+        state.adam.m[0] = Some(Matrix::filled(2, 2, 0.5));
+        state.adam.v[0] = None;
+        let mut w = Writer::new();
+        match state.encode(&mut w) {
+            Err(CkptError::Format(msg)) => {
+                assert!(msg.contains("slot 0 has its m moment but no v"), "{msg}")
+            }
+            other => panic!("expected a format error, got {other:?}"),
+        }
+        assert!(w.into_bytes().is_empty(), "nothing is written for a rejected state");
+
+        state.adam.m[0] = None;
+        state.adam.v[0] = Some(Matrix::filled(2, 2, 0.5));
+        assert!(matches!(state.encode(&mut Writer::new()), Err(CkptError::Format(_))));
+        state.adam.m[0] = Some(Matrix::filled(2, 2, 0.5));
+        state.encode(&mut Writer::new()).expect("a paired slot encodes");
     }
 
     #[test]
@@ -728,7 +777,7 @@ mod tests {
             "sparse steps must produce per-row counters"
         );
         let mut wtr = Writer::new();
-        state.encode(&mut wtr);
+        state.encode(&mut wtr).unwrap();
         let bytes = wtr.into_bytes();
         let back = ModelState::decode(&mut Reader::new(&bytes)).unwrap();
         for (a, b) in state.adam.row_t.iter().zip(&back.adam.row_t) {

@@ -88,9 +88,11 @@ fn put_profile(w: &mut Writer, p: &EpochProfile) {
         p.wall_ns,
         p.replicas,
         // Format v4 appends the split extraction attribution and the
-        // hub-cache refresh time at the end of the record.
+        // hub-cache refresh time at the end of the record; v5 the
+        // per-layer frontier rows.
         p.extract_wall_ns,
         p.hub_cache_ns,
+        p.frontier_rows,
     ] {
         w.put_u64(v);
     }
@@ -117,12 +119,15 @@ fn get_profile(r: &mut Reader<'_>) -> Result<EpochProfile, CkptError> {
         replicas: r.get_u64()?,
         extract_wall_ns: r.get_u64()?,
         hub_cache_ns: r.get_u64()?,
+        frontier_rows: r.get_u64()?,
     })
 }
 
 impl TrainCheckpoint {
     /// Serialize to payload bytes (envelope-free; see [`TrainCheckpoint::save`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
+    /// Fails when the model state cannot be written faithfully (see
+    /// [`ModelState::encode`]).
+    pub fn to_bytes(&self) -> Result<Vec<u8>, CkptError> {
         let mut w = Writer::new();
         w.put_str(&self.model_name);
         w.put_u64(self.seed);
@@ -167,8 +172,8 @@ impl TrainCheckpoint {
                 None => w.put_u8(0),
             }
         }
-        self.state.encode(&mut w);
-        w.into_bytes()
+        self.state.encode(&mut w)?;
+        Ok(w.into_bytes())
     }
 
     /// Deserialize payload bytes written by [`TrainCheckpoint::to_bytes`].
@@ -240,7 +245,7 @@ impl TrainCheckpoint {
     /// Write to `path` atomically inside the versioned, CRC-checked
     /// envelope.
     pub fn save(&self, path: &Path) -> Result<(), CkptError> {
-        save_bytes(path, &self.to_bytes())
+        save_bytes(path, &self.to_bytes()?)
     }
 
     /// Load and validate a checkpoint file.
@@ -308,6 +313,7 @@ mod tests {
                     profile: Some(EpochProfile {
                         batches: 3,
                         sampling_ns: 42,
+                        frontier_rows: 17,
                         ..Default::default()
                     }),
                 },
@@ -319,7 +325,7 @@ mod tests {
     #[test]
     fn checkpoint_payload_roundtrips() {
         let ck = sample();
-        let back = TrainCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
+        let back = TrainCheckpoint::from_bytes(&ck.to_bytes().unwrap()).unwrap();
         assert_eq!(back.model_name, "BPRMF");
         assert_eq!(back.epoch, 4);
         assert_eq!(back.seed, 7);
@@ -331,11 +337,12 @@ mod tests {
         assert!(back.divergences[0].loss.is_nan());
         assert_eq!(back.logs.len(), 2);
         assert_eq!(back.logs[1].profile.unwrap().sampling_ns, 42);
+        assert_eq!(back.logs[1].profile.unwrap().frontier_rows, 17);
     }
 
     #[test]
     fn corrupt_payloads_are_errors_not_panics() {
-        let bytes = sample().to_bytes();
+        let bytes = sample().to_bytes().unwrap();
         for cut in 0..bytes.len() {
             assert!(TrainCheckpoint::from_bytes(&bytes[..cut]).is_err(), "truncated to {cut}");
         }

@@ -37,7 +37,7 @@ pub mod subgraph;
 pub use builder::{Ckg, CkgBuilder, KnowledgeSource, SourceMask};
 pub use interactions::Interactions;
 pub use stats::CkgStats;
-pub use subgraph::{BatchSubgraph, SubgraphScratch, UnionExtraction};
+pub use subgraph::{BatchSubgraph, LayerFrontier, SubgraphScratch, UnionExtraction};
 
 /// Compact index type for users, items, entities, and relations.
 ///

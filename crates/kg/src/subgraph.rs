@@ -1,5 +1,5 @@
 //! Batch-local receptive fields: the L-hop in-neighborhood of a training
-//! batch, extracted as a compact remapped CSR subgraph.
+//! batch, extracted as per-layer index lists over a remapped subgraph.
 //! audit: module unwrap — CSR offsets are built and remapped inside this
 //! module; debug-audit runtime checks assert the invariants and the subgraph
 //! unit tests cover ragged shapes.
@@ -7,28 +7,41 @@
 //! Propagation-based models (CKAT, KGCN) only need the representations of
 //! the batch's seed entities, yet the naive implementation runs every
 //! layer over the *entire* CKG. The receptive field of an `L`-layer stack
-//! is much smaller: layer `L` output at the seeds depends on layers
-//! `L-1..0` at the seeds' `1..L`-hop neighborhoods only. [`BatchSubgraph`]
-//! captures exactly that closure so the models can gather `O(subgraph)`
-//! embedding rows instead of `O(graph)`.
+//! is much smaller, and it shrinks layer by layer: the loss reads layer
+//! `L`'s output at the seeds only, layer `L` reads layer `L-1` at the
+//! seeds and their neighbors, and so on down to the layer-0 embeddings.
+//! [`BatchSubgraph`] captures exactly that level structure, so the models
+//! gather `O(subgraph)` embedding rows and compute each layer only on the
+//! rows a later layer or the loss reads.
 //!
-//! Terminology (`S` = seed set, `N(·)` = out-neighbors in CSR order):
+//! ## Levels
 //!
-//! * **closure** `C = F_L` where `F_0 = S`, `F_{k+1} = F_k ∪ N(F_k)` —
-//!   every entity whose layer-0 embedding participates,
-//! * **interior** `I = F_{L-1}` — entities whose *full* CSR edge slice is
-//!   copied into the subgraph (their aggregation is exact at every layer
-//!   that reads it),
-//! * **ring** `C \ I` — frontier entities that appear only as message
-//!   tails; they carry no edges, so their deeper-layer values are cheap
-//!   *and unused*.
+//! With `S` the seed set and `N(·)` the out-neighbors in CSR order, the
+//! BFS assigns every entity its hop `level`, and the level sets are
+//! `F_0 = S`, `F_{k+1} = F_k ∪ N(F_k)`:
 //!
-//! Local node ids are assigned in ascending **global** id order (interior
-//! first, then ring). Because every interior entity keeps its complete
-//! edge slice in global CSR order, per-segment message sums accumulate in
-//! exactly the order the full-graph pass uses — batch-local propagation is
-//! bitwise identical on the rows that matter, which the differential tests
-//! in `facility-models` pin down.
+//! * the **closure** `F_L` — every entity whose layer-0 embedding
+//!   participates ([`BatchSubgraph::nodes`]);
+//! * **layer `l`'s heads** `F_{L-l}`, `l = 1..=L` — the rows layer `l`
+//!   computes. Each head carries its *full* CSR edge slice, and every tail
+//!   of those edges lies in `F_{L-l+1}`, the previous layer's rows, so the
+//!   layer's aggregation is exact on every row it computes. The sets are
+//!   nested, and layer `L`'s heads are the seeds.
+//!
+//! Every row list is sorted by **global** id, and every head keeps its
+//! complete edge slice in global CSR order, so per-segment message sums
+//! and backward scatter-adds accumulate in exactly the order the
+//! full-graph pass uses — batch-local propagation is bitwise identical on
+//! the rows that matter, which the differential tests in
+//! `facility-models` pin down.
+//!
+//! ## Hub cut
+//!
+//! [`SubgraphScratch::extract_many`] can be given *cut* flags (the hubs of
+//! `facility-models`' hub cache): a cut entity expands only for the seed
+//! sets it is a seed of. Elsewhere it still takes its level, and so
+//! its row in every layer whose head set reaches it, but it carries no
+//! edges; its layer outputs come from the cache instead.
 //!
 //! ## Thread safety
 //!
@@ -36,9 +49,8 @@
 //! is immutable CSR data and `Sync` — so any number of workers may
 //! extract concurrently from one shared graph, each with its **own**
 //! [`SubgraphScratch`] (the scratch holds the mutable BFS state). The
-//! replica training pool in `facility-models` relies on this: one scratch
-//! per worker, one shared graph, and the extracted subgraph for a given
-//! seed set is identical no matter which worker produced it.
+//! extracted subgraph for a given seed set is identical no matter which
+//! worker produced it.
 
 use crate::builder::Ckg;
 
@@ -50,8 +62,12 @@ use crate::builder::Ckg;
 pub struct SubgraphScratch {
     /// Stamp per entity; `stamp[e] == version` ⇒ `e` is in the closure.
     stamp: Vec<u32>,
-    /// Local id per entity (valid only when stamped this version).
+    /// Position of each entity in the row list being remapped (valid only
+    /// when stamped this version).
     local: Vec<u32>,
+    /// Hop level per entity in [`SubgraphScratch::extract`] (valid only
+    /// when stamped this version).
+    level: Vec<u32>,
     /// Current extraction version.
     version: u32,
     /// Discovery buffer reused across extractions (capacity persists).
@@ -61,31 +77,47 @@ pub struct SubgraphScratch {
     mask: Vec<u64>,
     /// Per-round pending bits during the level-synchronous multi-source BFS.
     pending: Vec<u64>,
-    /// Snapshot of `mask` after `depth - 1` expansion rounds (bit `b` ⇒
-    /// in seed set `b`'s interior, before the cut rule is applied).
-    interior_bits: Vec<u64>,
+    /// `within[j][e]`: bit `b` ⇒ `e` is within `j` hops of seed set `b`
+    /// (`F_j`), for `j < depth`; the closure `F_depth` is `mask` itself.
+    within: Vec<Vec<u64>>,
     /// Bit `b` ⇒ the entity is one of seed set `b`'s seeds.
     seed_bits: Vec<u64>,
 }
 
-/// A compact remapped CSR subgraph: the `depth`-hop receptive field of a
-/// seed set.
-#[derive(Debug, Clone, Default)]
-pub struct BatchSubgraph {
-    /// Global entity id of each local node. Interior nodes come first;
-    /// both groups are sorted by global id.
-    pub nodes: Vec<usize>,
-    /// Number of interior nodes (`nodes[..n_interior]` carry edges).
-    pub n_interior: usize,
-    /// Local id of each seed, parallel to the `seeds` slice passed to
-    /// [`SubgraphScratch::extract`] (duplicates map to the same local id).
-    pub seed_locals: Vec<usize>,
-    /// Global CSR edge index of each subgraph edge (for attention lookup).
+/// One propagation layer's index lists within a [`BatchSubgraph`]: layer
+/// `l` of an `L`-layer stack computes the rows `F_{L-l}` from the previous
+/// layer's rows `F_{L-l+1}` (the closure for `l = 1`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LayerFrontier {
+    /// Global id of each head row, strictly increasing.
+    pub rows: Vec<usize>,
+    /// Position of each head in the previous layer's rows (its self term).
+    pub self_rows: Vec<usize>,
+    /// Global CSR edge id of each edge: every head's full slice (none for
+    /// a cut hub), heads in row order, each slice in CSR order.
     pub edge_ids: Vec<usize>,
-    /// Local tail id per subgraph edge.
+    /// Tail of each edge as a position in the previous layer's rows.
     pub tails: Vec<usize>,
-    /// Local head id per subgraph edge, grouped CSR-style (non-decreasing).
+    /// Head of each edge as a position in [`LayerFrontier::rows`]
+    /// (non-decreasing).
     pub heads: Vec<usize>,
+    /// Position in [`LayerFrontier::rows`] of each seed, parallel to the
+    /// `seeds` slice the subgraph was extracted for.
+    pub seeds: Vec<usize>,
+}
+
+/// The `depth`-hop receptive field of a seed set, as per-layer index
+/// lists (see the module docs for the level structure).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BatchSubgraph {
+    /// Global id of each closure node — the layer-0 embedding rows —
+    /// strictly increasing.
+    pub nodes: Vec<usize>,
+    /// Position in [`BatchSubgraph::nodes`] of each seed, parallel to the
+    /// `seeds` slice passed to extraction (duplicates share a position).
+    pub seed_locals: Vec<usize>,
+    /// `layers[l]` holds the lists of propagation layer `l + 1`.
+    pub layers: Vec<LayerFrontier>,
 }
 
 impl BatchSubgraph {
@@ -94,76 +126,115 @@ impl BatchSubgraph {
         self.nodes.len()
     }
 
-    /// Number of edges copied into the subgraph.
+    /// Number of distinct edges in the subgraph: layer 1's, since every
+    /// deeper layer's edges are a subset of them.
     pub fn n_edges(&self) -> usize {
-        self.edge_ids.len()
+        self.layers.first().map_or(0, |l| l.edge_ids.len())
     }
 
-    /// Validate the structural contract against the graph this subgraph
-    /// was extracted from, panicking on violation:
+    /// Validate the level structure against the graph this subgraph was
+    /// extracted from (with the `cut` flags it was extracted under),
+    /// panicking on violation:
     ///
-    /// * node groups (interior, ring) are strictly sorted by global id,
-    ///   disjoint, and within the graph's entity range;
-    /// * every interior node carries its *complete* CSR slice, in global
-    ///   edge order (which also proves the edge list is duplicate-free);
-    /// * every edge endpoint resolves inside the node set — the closure
-    ///   property CKAT's batch-local propagation relies on;
-    /// * `seed_locals` are valid local ids.
+    /// * the closure and every layer's rows are strictly sorted and within
+    ///   the graph's entity range;
+    /// * the sets are nested — every head is a row of the previous layer,
+    ///   at the position its self entry names;
+    /// * every head carries its *complete* CSR slice, in global edge
+    ///   order, unless it is a cut entity that is not a seed, which
+    ///   carries none;
+    /// * every tail falls within the previous layer's rows, at a position
+    ///   that names the edge's tail entity;
+    /// * every seed position names the same entity in the closure and in
+    ///   every layer.
     ///
-    /// Called automatically at the end of
-    /// [`SubgraphScratch::extract`] when the `debug-audit` feature is
-    /// enabled; always available for tests.
-    pub fn validate(&self, ckg: &Ckg) {
+    /// Called automatically at the end of extraction when the
+    /// `debug-audit` feature is enabled; always available for tests.
+    pub fn validate(&self, ckg: &Ckg, cut: Option<&[bool]>) {
         let n = self.nodes.len();
-        assert!(self.n_interior <= n, "debug-audit: n_interior {} > {n} nodes", self.n_interior);
-        let interior = &self.nodes[..self.n_interior];
-        let ring = &self.nodes[self.n_interior..];
         assert!(
-            interior.windows(2).all(|w| w[0] < w[1]),
-            "debug-audit: interior nodes not strictly sorted"
+            self.nodes.windows(2).all(|w| w[0] < w[1]),
+            "debug-audit: closure nodes not strictly sorted"
         );
-        assert!(
-            ring.windows(2).all(|w| w[0] < w[1]),
-            "debug-audit: ring nodes not strictly sorted"
-        );
-        for &g in &self.nodes {
-            assert!(g < ckg.n_entities(), "debug-audit: node {g} outside the entity range");
+        if let Some(&last) = self.nodes.last() {
+            assert!(last < ckg.n_entities(), "debug-audit: node {last} outside the entity range");
         }
-        // Disjointness: both groups are strictly sorted, so a global id in
-        // both would survive a sort+dedup of the union as a duplicate.
-        let mut union: Vec<usize> = self.nodes.clone();
-        union.sort_unstable();
-        let before = union.len();
-        union.dedup();
-        assert_eq!(union.len(), before, "debug-audit: a node appears in both interior and ring");
-
-        // Interior CSR slices: complete, in order, closed over the nodes.
-        let mut k = 0usize;
-        for (li, &g) in interior.iter().enumerate() {
-            for e in ckg.offsets[g]..ckg.offsets[g + 1] {
-                assert!(
-                    k < self.edge_ids.len() && self.edge_ids[k] == e,
-                    "debug-audit: interior node {g} is missing edge {e} — slice incomplete or \
-                     out of order"
-                );
-                assert_eq!(self.heads[k], li, "debug-audit: edge {e} grouped under the wrong head");
-                let tail_local = self.tails[k];
-                assert!(tail_local < n, "debug-audit: edge {e} tail escapes the node set");
-                assert_eq!(
-                    self.nodes[tail_local], ckg.tails[e] as usize,
-                    "debug-audit: edge {e} tail remapped to the wrong node"
-                );
-                k += 1;
-            }
-        }
-        assert_eq!(
-            k,
-            self.edge_ids.len(),
-            "debug-audit: {} edges beyond the interior nodes' CSR slices",
-            self.edge_ids.len() - k
-        );
         for &sl in &self.seed_locals {
             assert!(sl < n, "debug-audit: seed local id {sl} out of range");
+        }
+        let is_seed = |g: usize| self.seed_locals.iter().any(|&sl| self.nodes[sl] == g);
+        let mut prev: &[usize] = &self.nodes;
+        for (l, layer) in self.layers.iter().enumerate() {
+            let layer_no = l + 1;
+            let rows = &layer.rows;
+            assert!(
+                rows.windows(2).all(|w| w[0] < w[1]),
+                "debug-audit: layer {layer_no} rows not strictly sorted"
+            );
+            assert_eq!(
+                layer.self_rows.len(),
+                rows.len(),
+                "debug-audit: layer {layer_no} has one self row per head"
+            );
+            for (&g, &p) in rows.iter().zip(&layer.self_rows) {
+                assert!(
+                    p < prev.len() && prev[p] == g,
+                    "debug-audit: layer {layer_no} head {g} is not nested in the previous layer"
+                );
+            }
+            assert!(
+                layer.edge_ids.len() == layer.tails.len() && layer.tails.len() == layer.heads.len(),
+                "debug-audit: layer {layer_no} edge lists disagree"
+            );
+            let mut k = 0usize;
+            for (hi, &g) in rows.iter().enumerate() {
+                let slice = ckg.offsets[g]..ckg.offsets[g + 1];
+                let carried = layer.heads[k..].iter().take_while(|&&h| h == hi).count();
+                if carried == 0 && !slice.is_empty() {
+                    assert!(
+                        cut.is_some_and(|c| c[g]) && !is_seed(g),
+                        "debug-audit: layer {layer_no} head {g} is missing edge {} — slice \
+                         incomplete",
+                        slice.start
+                    );
+                    continue;
+                }
+                for e in slice {
+                    assert!(
+                        k < layer.edge_ids.len() && layer.edge_ids[k] == e && layer.heads[k] == hi,
+                        "debug-audit: layer {layer_no} head {g} is missing edge {e} — slice \
+                         incomplete or out of order"
+                    );
+                    let t = layer.tails[k];
+                    assert!(
+                        t < prev.len(),
+                        "debug-audit: layer {layer_no} edge {e} tail escapes the previous layer"
+                    );
+                    assert_eq!(
+                        prev[t], ckg.tails[e] as usize,
+                        "debug-audit: layer {layer_no} edge {e} tail remapped to the wrong node"
+                    );
+                    k += 1;
+                }
+            }
+            assert_eq!(
+                k,
+                layer.edge_ids.len(),
+                "debug-audit: layer {layer_no} has {} edges beyond its heads' CSR slices",
+                layer.edge_ids.len() - k
+            );
+            assert_eq!(
+                layer.seeds.len(),
+                self.seed_locals.len(),
+                "debug-audit: layer {layer_no} has one position per seed"
+            );
+            for (&p, &sl) in layer.seeds.iter().zip(&self.seed_locals) {
+                assert!(
+                    p < rows.len() && rows[p] == self.nodes[sl],
+                    "debug-audit: layer {layer_no} seed position {p} names the wrong row"
+                );
+            }
+            prev = rows;
         }
     }
 }
@@ -172,12 +243,11 @@ impl BatchSubgraph {
 /// extracted by [`SubgraphScratch::extract_many`] in a single traversal.
 ///
 /// `subgraphs[b]` is **bitwise identical** to what an independent
-/// [`SubgraphScratch::extract`] (or [`SubgraphScratch::extract_cut`] when
-/// a cut was supplied) of seed set `b` produces — same node order, same
-/// edge list, same `seed_locals` — because both paths sort node groups by
-/// global id and copy complete CSR slices in global edge order. The union
-/// exists so the traversal cost is paid once per macro-step instead of
-/// once per micro-batch.
+/// extraction of seed set `b` produces — same rows, same edge lists, same
+/// seed positions — because both paths compute the same levels, sort rows
+/// by global id and copy complete CSR slices in global edge order. The
+/// union exists so the traversal cost is paid once per macro-step instead
+/// of once per micro-batch.
 #[derive(Debug, Clone, Default)]
 pub struct UnionExtraction {
     /// Sorted global ids of every node in any seed set's closure.
@@ -189,10 +259,11 @@ pub struct UnionExtraction {
 impl UnionExtraction {
     /// Validate the union's structural contract, panicking on violation:
     /// the union node list is strictly sorted and in range, every derived
-    /// subgraph satisfies [`BatchSubgraph::validate`], and every subgraph
-    /// node is a member of the union. Called automatically at the end of
-    /// [`SubgraphScratch::extract_many`] under the `debug-audit` feature.
-    pub fn validate(&self, ckg: &Ckg) {
+    /// subgraph satisfies [`BatchSubgraph::validate`] under `cut`, and
+    /// every subgraph node is a member of the union. Called automatically
+    /// at the end of [`SubgraphScratch::extract_many`] under the
+    /// `debug-audit` feature.
+    pub fn validate(&self, ckg: &Ckg, cut: Option<&[bool]>) {
         assert!(
             self.union_nodes.windows(2).all(|w| w[0] < w[1]),
             "debug-audit: union nodes not strictly sorted"
@@ -201,7 +272,7 @@ impl UnionExtraction {
             assert!(g < ckg.n_entities(), "debug-audit: union node {g} outside the entity range");
         }
         for (b, sub) in self.subgraphs.iter().enumerate() {
-            sub.validate(ckg);
+            sub.validate(ckg, cut);
             for &g in &sub.nodes {
                 assert!(
                     self.union_nodes.binary_search(&g).is_ok(),
@@ -212,29 +283,116 @@ impl UnionExtraction {
     }
 }
 
+/// Build a [`BatchSubgraph`] from its closure (sorted by global id) and
+/// the level structure: `within(g, j)` ⇔ `g ∈ F_j`, and `expands(g)` ⇔
+/// `g` carries its edge slice as a head. `local` is the caller's
+/// entity-indexed position map, overwritten here.
+fn assemble(
+    ckg: &Ckg,
+    local: &mut [u32],
+    nodes: Vec<usize>,
+    seeds: &[usize],
+    depth: usize,
+    within: impl Fn(usize, usize) -> bool,
+    expands: impl Fn(usize) -> bool,
+) -> BatchSubgraph {
+    let mut out = BatchSubgraph { nodes, ..BatchSubgraph::default() };
+    assemble_into(ckg, local, seeds, depth, within, expands, &mut out);
+    out
+}
+
+/// [`assemble`] into `out`, whose `nodes` already hold the closure; every
+/// other list is rewritten in place, keeping its capacity.
+fn assemble_into(
+    ckg: &Ckg,
+    local: &mut [u32],
+    seeds: &[usize],
+    depth: usize,
+    within: impl Fn(usize, usize) -> bool,
+    expands: impl Fn(usize) -> bool,
+    out: &mut BatchSubgraph,
+) {
+    let BatchSubgraph { nodes, seed_locals, layers } = out;
+    for (i, &g) in nodes.iter().enumerate() {
+        local[g] = i as u32;
+    }
+    seed_locals.clear();
+    seed_locals.extend(seeds.iter().map(|&s| local[s] as usize));
+    layers.resize_with(depth, LayerFrontier::default);
+    for l in 1..=depth {
+        let (done, rest) = layers.split_at_mut(l - 1);
+        // `local` maps the previous layer's rows to their positions.
+        let prev = done.last().map_or(&*nodes, |p| &p.rows);
+        let LayerFrontier { rows, self_rows, edge_ids, tails, heads, seeds: seed_rows } =
+            &mut rest[0];
+        rows.clear();
+        rows.extend(prev.iter().copied().filter(|&g| within(g, depth - l)));
+        self_rows.clear();
+        self_rows.extend(rows.iter().map(|&g| local[g] as usize));
+        edge_ids.clear();
+        tails.clear();
+        heads.clear();
+        for (hi, &g) in rows.iter().enumerate() {
+            if !expands(g) {
+                continue;
+            }
+            for k in ckg.offsets[g]..ckg.offsets[g + 1] {
+                edge_ids.push(k);
+                heads.push(hi);
+                tails.push(local[ckg.tails[k] as usize] as usize);
+            }
+        }
+        for (i, &g) in rows.iter().enumerate() {
+            local[g] = i as u32;
+        }
+        seed_rows.clear();
+        seed_rows.extend(seeds.iter().map(|&s| local[s] as usize));
+    }
+}
+
 impl SubgraphScratch {
     /// Workspace for a graph with `n_entities` entities.
     pub fn new(n_entities: usize) -> Self {
         Self {
             stamp: vec![0; n_entities],
             local: vec![0; n_entities],
+            level: vec![0; n_entities],
             version: 0,
             discovered: Vec::new(),
             mask: Vec::new(),
             pending: Vec::new(),
-            interior_bits: Vec::new(),
+            within: Vec::new(),
             seed_bits: Vec::new(),
         }
     }
 
-    /// Extract the `depth`-hop in-neighborhood of `seeds` as a remapped
-    /// CSR subgraph. Allocates only the output (O(subgraph)); the
-    /// O(graph) bookkeeping lives in `self` and is reused across calls.
+    /// Extract the `depth`-hop in-neighborhood of `seeds` with its
+    /// per-layer index lists. Allocates only the output (O(subgraph));
+    /// the O(graph) bookkeeping lives in `self` and is reused across
+    /// calls.
     ///
     /// # Panics
     /// Panics if a seed is out of range for the graph this scratch was
     /// sized for.
     pub fn extract(&mut self, ckg: &Ckg, seeds: &[usize], depth: usize) -> BatchSubgraph {
+        let mut out = BatchSubgraph::default();
+        self.extract_into(ckg, seeds, depth, &mut out);
+        out
+    }
+
+    /// [`SubgraphScratch::extract`] into `out`, overwriting every list in
+    /// place: a caller that hands the same subgraph back batch after batch
+    /// reuses its buffers instead of allocating new ones.
+    ///
+    /// # Panics
+    /// As [`SubgraphScratch::extract`].
+    pub fn extract_into(
+        &mut self,
+        ckg: &Ckg,
+        seeds: &[usize],
+        depth: usize,
+        out: &mut BatchSubgraph,
+    ) {
         assert_eq!(self.stamp.len(), ckg.n_entities(), "scratch sized for a different graph");
         self.bump_version();
         let version = self.version;
@@ -244,12 +402,12 @@ impl SubgraphScratch {
         for &s in seeds {
             if self.stamp[s] != version {
                 self.stamp[s] = version;
+                self.level[s] = 0;
                 self.discovered.push(s);
             }
         }
         let mut frontier_start = 0;
-        let mut n_interior_raw = if depth == 0 { 0 } else { self.discovered.len() };
-        for hop in 0..depth {
+        for hop in 1..=depth {
             let frontier_end = self.discovered.len();
             for fi in frontier_start..frontier_end {
                 let g = self.discovered[fi];
@@ -257,147 +415,29 @@ impl SubgraphScratch {
                     let t = ckg.tails[k] as usize;
                     if self.stamp[t] != version {
                         self.stamp[t] = version;
+                        self.level[t] = hop as u32;
                         self.discovered.push(t);
                     }
                 }
             }
             frontier_start = frontier_end;
-            // Interior = closure after `depth - 1` expansions.
-            if hop + 1 == depth - 1 {
-                n_interior_raw = self.discovered.len();
-            }
         }
 
-        // Assign local ids: interior sorted by global id, then ring sorted
-        // by global id. Sorting keeps subgraph edge order identical to the
-        // full graph's CSR order (bitwise-reproducible accumulation).
-        let mut nodes: Vec<usize> = Vec::with_capacity(self.discovered.len());
-        nodes.extend_from_slice(&self.discovered[..n_interior_raw]);
-        nodes.sort_unstable();
-        let n_interior = nodes.len();
-        let mut ring: Vec<usize> = self.discovered[n_interior_raw..].to_vec();
-        ring.sort_unstable();
-        nodes.extend_from_slice(&ring);
-        for (li, &g) in nodes.iter().enumerate() {
-            self.local[g] = li as u32;
-        }
-
-        // Copy each interior node's full CSR slice, remapped to local ids.
-        let mut edge_ids = Vec::new();
-        let mut tails = Vec::new();
-        let mut heads = Vec::new();
-        for (li, &g) in nodes[..n_interior].iter().enumerate() {
-            for k in ckg.offsets[g]..ckg.offsets[g + 1] {
-                edge_ids.push(k);
-                heads.push(li);
-                tails.push(self.local[ckg.tails[k] as usize] as usize);
-            }
-        }
-
-        let seed_locals = seeds.iter().map(|&s| self.local[s] as usize).collect();
-        let sub = BatchSubgraph { nodes, n_interior, seed_locals, edge_ids, tails, heads };
+        out.nodes.clear();
+        out.nodes.extend_from_slice(&self.discovered);
+        out.nodes.sort_unstable();
+        let level = &self.level;
+        assemble_into(
+            ckg,
+            &mut self.local,
+            seeds,
+            depth,
+            |g, j| level[g] as usize <= j,
+            |_| true,
+            out,
+        );
         #[cfg(feature = "debug-audit")]
-        sub.validate(ckg);
-        sub
-    }
-
-    /// [`SubgraphScratch::extract`] with a *hub cut*: entities flagged in
-    /// `cut` do not expand during the BFS unless they are seeds of this
-    /// very batch, and a cut non-seed is always classified as **ring**
-    /// even when discovered within `depth - 1` hops (its edge slice would
-    /// be enormous and its deep-layer values are injected from a cache
-    /// instead of computed in-graph — see `facility-models`' hub cache).
-    ///
-    /// With an all-`false` cut this is exactly [`SubgraphScratch::extract`].
-    /// This is the single-seed-set oracle that
-    /// [`SubgraphScratch::extract_many`] is differentially tested against.
-    ///
-    /// # Panics
-    /// Panics if `cut` is not sized for the graph or a seed is out of
-    /// range.
-    pub fn extract_cut(
-        &mut self,
-        ckg: &Ckg,
-        seeds: &[usize],
-        depth: usize,
-        cut: &[bool],
-    ) -> BatchSubgraph {
-        assert_eq!(self.stamp.len(), ckg.n_entities(), "scratch sized for a different graph");
-        assert_eq!(cut.len(), ckg.n_entities(), "cut flags sized for a different graph");
-        self.bump_version();
-        let version = self.version;
-        self.discovered.clear();
-
-        let mut seed_sorted: Vec<usize> = seeds.to_vec();
-        seed_sorted.sort_unstable();
-        seed_sorted.dedup();
-        let expands = |g: usize| !cut[g] || seed_sorted.binary_search(&g).is_ok();
-
-        for &s in seeds {
-            if self.stamp[s] != version {
-                self.stamp[s] = version;
-                self.discovered.push(s);
-            }
-        }
-        let mut frontier_start = 0;
-        let mut n_interior_raw = if depth == 0 { 0 } else { self.discovered.len() };
-        for hop in 0..depth {
-            let frontier_end = self.discovered.len();
-            for fi in frontier_start..frontier_end {
-                let g = self.discovered[fi];
-                if !expands(g) {
-                    continue;
-                }
-                for k in ckg.offsets[g]..ckg.offsets[g + 1] {
-                    let t = ckg.tails[k] as usize;
-                    if self.stamp[t] != version {
-                        self.stamp[t] = version;
-                        self.discovered.push(t);
-                    }
-                }
-            }
-            frontier_start = frontier_end;
-            if hop + 1 == depth - 1 {
-                n_interior_raw = self.discovered.len();
-            }
-        }
-
-        // Like `extract`, but cut non-seeds are demoted from the interior
-        // prefix to the ring before local ids are assigned.
-        let mut nodes: Vec<usize> = Vec::with_capacity(self.discovered.len());
-        let mut ring: Vec<usize> = Vec::new();
-        for &g in &self.discovered[..n_interior_raw] {
-            if expands(g) {
-                nodes.push(g);
-            } else {
-                ring.push(g);
-            }
-        }
-        nodes.sort_unstable();
-        let n_interior = nodes.len();
-        ring.extend_from_slice(&self.discovered[n_interior_raw..]);
-        ring.sort_unstable();
-        nodes.extend_from_slice(&ring);
-        for (li, &g) in nodes.iter().enumerate() {
-            self.local[g] = li as u32;
-        }
-
-        let mut edge_ids = Vec::new();
-        let mut tails = Vec::new();
-        let mut heads = Vec::new();
-        for (li, &g) in nodes[..n_interior].iter().enumerate() {
-            for k in ckg.offsets[g]..ckg.offsets[g + 1] {
-                edge_ids.push(k);
-                heads.push(li);
-                tails.push(self.local[ckg.tails[k] as usize] as usize);
-            }
-        }
-
-        let seed_locals = seeds.iter().map(|&s| self.local[s] as usize).collect();
-        let sub = BatchSubgraph { nodes, n_interior, seed_locals, edge_ids, tails, heads };
-        #[cfg(feature = "debug-audit")]
-        sub.validate(ckg);
-        sub
+        out.validate(ckg, None);
     }
 
     /// Extract the union receptive field of up to 64 seed sets in **one**
@@ -405,16 +445,17 @@ impl SubgraphScratch {
     ///
     /// A level-synchronous multi-source BFS tracks, per entity, a `u64`
     /// bitmask of which seed sets' closures contain it; bits discovered in
-    /// the same round are committed together, so per-set hop distances —
-    /// and therefore the interior/ring split — are exactly what `depth`
-    /// independent BFS runs would compute. Each subgraph is then
-    /// materialized by filtering the sorted union with its bit, which
-    /// reproduces independent extraction bit for bit (proved in
-    /// `facility-models/tests/batch_local_diff.rs` and the tests below).
+    /// the same round are committed together, and the masks are
+    /// snapshotted after every round, so per-set hop levels — and
+    /// therefore every layer's head set — are exactly what independent
+    /// BFS runs would compute. Each subgraph is then materialized by
+    /// filtering the sorted union with its bit, which reproduces
+    /// [`SubgraphScratch::extract`] bit for bit (proved in the tests below
+    /// and in `crates/kg/tests/proptests.rs`).
     ///
-    /// `cut` applies [`SubgraphScratch::extract_cut`]'s hub rule to every
-    /// set: a cut entity only expands the bits for which it is a seed and
-    /// is forced to the ring of every set it is not a seed of.
+    /// `cut` applies the hub rule to every set: a cut entity only expands
+    /// the bits for which it is a seed, and carries no edges in the
+    /// subgraphs of the other sets.
     ///
     /// # Panics
     /// Panics if more than 64 seed sets are passed, a seed is out of
@@ -435,13 +476,17 @@ impl SubgraphScratch {
         if self.mask.len() != n {
             self.mask = vec![0; n];
             self.pending = vec![0; n];
-            self.interior_bits = vec![0; n];
             self.seed_bits = vec![0; n];
+            self.within.clear();
+        }
+        while self.within.len() < depth {
+            self.within.push(vec![0; n]);
         }
         self.bump_version();
         let version = self.version;
         self.discovered.clear();
         let is_cut = |g: usize| cut.is_some_and(|c| c[g]);
+        let within_rounds = &mut self.within[..depth];
 
         // Seed round: first touch lazily clears an entity's bit state.
         for (b, seeds) in seed_sets.iter().enumerate() {
@@ -451,8 +496,8 @@ impl SubgraphScratch {
                     self.stamp[s] = version;
                     self.mask[s] = 0;
                     self.pending[s] = 0;
-                    self.interior_bits[s] = 0;
                     self.seed_bits[s] = 0;
+                    within_rounds.iter_mut().for_each(|w| w[s] = 0);
                     self.discovered.push(s);
                 }
                 self.mask[s] |= bit;
@@ -461,15 +506,13 @@ impl SubgraphScratch {
         }
         let mut frontier: Vec<(usize, u64)> =
             self.discovered.iter().map(|&s| (s, self.mask[s])).collect();
-        if depth == 1 {
-            // Interior = closure after depth - 1 = 0 expansions: the seeds.
-            for &s in &self.discovered {
-                self.interior_bits[s] = self.mask[s];
-            }
-        }
 
         let mut touched: Vec<usize> = Vec::new();
         for round in 1..=depth {
+            // Snapshot F_{round-1} before this round's bits land.
+            for &g in &self.discovered {
+                within_rounds[round - 1][g] = self.mask[g];
+            }
             let mut next: Vec<(usize, u64)> = Vec::new();
             touched.clear();
             for &(g, delta) in &frontier {
@@ -485,8 +528,8 @@ impl SubgraphScratch {
                         self.stamp[t] = version;
                         self.mask[t] = 0;
                         self.pending[t] = 0;
-                        self.interior_bits[t] = 0;
                         self.seed_bits[t] = 0;
+                        within_rounds.iter_mut().for_each(|w| w[t] = 0);
                         self.discovered.push(t);
                     }
                     if self.pending[t] == 0 {
@@ -497,7 +540,7 @@ impl SubgraphScratch {
             }
             // Commit after the whole frontier expanded — bits reaching a
             // node in this round must not re-expand within it, or per-set
-            // hop distances (and the interior split) would be wrong.
+            // hop levels (and the layer head sets) would be wrong.
             for &t in &touched {
                 let delta = self.pending[t] & !self.mask[t];
                 self.pending[t] = 0;
@@ -509,63 +552,32 @@ impl SubgraphScratch {
                 }
             }
             frontier = next;
-            if round == depth - 1 {
-                for &g in &self.discovered {
-                    self.interior_bits[g] = self.mask[g];
-                }
-            }
         }
 
-        // Materialize: iterate the sorted union once per set and bucket by
-        // bit, so each subgraph's node groups come out sorted by global id
-        // exactly as independent extraction sorts them.
+        // Materialize: filter the sorted union once per set, so each
+        // subgraph's rows come out sorted by global id exactly as
+        // independent extraction sorts them.
         self.discovered.sort_unstable();
         let union_nodes = self.discovered.clone();
+        let (mask, seed_bits, within) = (&self.mask, &self.seed_bits, &self.within);
         let mut subgraphs = Vec::with_capacity(seed_sets.len());
         for (b, seeds) in seed_sets.iter().enumerate() {
             let bit = 1u64 << b;
-            let mut nodes: Vec<usize> = Vec::new();
-            for &g in &union_nodes {
-                if self.interior_bits[g] & bit != 0 && !(is_cut(g) && self.seed_bits[g] & bit == 0)
-                {
-                    nodes.push(g);
-                }
-            }
-            let n_interior = nodes.len();
-            for &g in &union_nodes {
-                let in_closure = self.mask[g] & bit != 0;
-                let interior = self.interior_bits[g] & bit != 0
-                    && !(is_cut(g) && self.seed_bits[g] & bit == 0);
-                if in_closure && !interior {
-                    nodes.push(g);
-                }
-            }
-            for (li, &g) in nodes.iter().enumerate() {
-                self.local[g] = li as u32;
-            }
-            let mut edge_ids = Vec::new();
-            let mut tails = Vec::new();
-            let mut heads = Vec::new();
-            for (li, &g) in nodes[..n_interior].iter().enumerate() {
-                for k in ckg.offsets[g]..ckg.offsets[g + 1] {
-                    edge_ids.push(k);
-                    heads.push(li);
-                    tails.push(self.local[ckg.tails[k] as usize] as usize);
-                }
-            }
-            let seed_locals = seeds.iter().map(|&s| self.local[s] as usize).collect();
-            subgraphs.push(BatchSubgraph {
+            let nodes: Vec<usize> =
+                union_nodes.iter().copied().filter(|&g| mask[g] & bit != 0).collect();
+            subgraphs.push(assemble(
+                ckg,
+                &mut self.local,
                 nodes,
-                n_interior,
-                seed_locals,
-                edge_ids,
-                tails,
-                heads,
-            });
+                seeds,
+                depth,
+                |g, j| within[j][g] & bit != 0,
+                |g| !is_cut(g) || seed_bits[g] & bit != 0,
+            ));
         }
         let out = UnionExtraction { union_nodes, subgraphs };
         #[cfg(feature = "debug-audit")]
-        out.validate(ckg);
+        out.validate(ckg, cut);
         out
     }
 
@@ -595,8 +607,52 @@ mod tests {
         b.build(SourceMask::all())
     }
 
+    /// The single-seed-set oracle of the hub cut rule: a plain queue BFS
+    /// in which a cut entity expands only when it is one of `seeds`, then
+    /// the same row and edge assembly as extraction.
+    fn extract_cut(
+        scratch: &mut SubgraphScratch,
+        ckg: &Ckg,
+        seeds: &[usize],
+        depth: usize,
+        cut: &[bool],
+    ) -> BatchSubgraph {
+        let expands = |g: usize| !cut[g] || seeds.contains(&g);
+        let mut level = vec![usize::MAX; ckg.n_entities()];
+        let mut order: Vec<usize> = Vec::new();
+        for &s in seeds {
+            if level[s] == usize::MAX {
+                level[s] = 0;
+                order.push(s);
+            }
+        }
+        let mut start = 0;
+        for hop in 1..=depth {
+            let end = order.len();
+            for i in start..end {
+                let g = order[i];
+                if !expands(g) {
+                    continue;
+                }
+                for k in ckg.offsets[g]..ckg.offsets[g + 1] {
+                    let t = ckg.tails[k] as usize;
+                    if level[t] == usize::MAX {
+                        level[t] = hop;
+                        order.push(t);
+                    }
+                }
+            }
+            start = end;
+        }
+        order.sort_unstable();
+        let sub =
+            assemble(ckg, &mut scratch.local, order, seeds, depth, |g, j| level[g] <= j, expands);
+        sub.validate(ckg, Some(cut));
+        sub
+    }
+
     #[test]
-    fn closure_grows_with_depth_and_stays_sorted() {
+    fn closure_grows_with_depth_and_layers_stay_sorted() {
         let ckg = world();
         let mut scratch = SubgraphScratch::new(ckg.n_entities());
         let seeds = [0usize];
@@ -605,34 +661,59 @@ mod tests {
             let sub = scratch.extract(&ckg, &seeds, depth);
             assert!(sub.n_nodes() >= prev, "closure must be monotone in depth");
             prev = sub.n_nodes();
-            assert!(sub.nodes[..sub.n_interior].windows(2).all(|w| w[0] < w[1]));
-            assert!(sub.nodes[sub.n_interior..].windows(2).all(|w| w[0] < w[1]));
-            // CSR grouping: heads non-decreasing.
-            assert!(sub.heads.windows(2).all(|w| w[0] <= w[1]));
+            assert_eq!(sub.layers.len(), depth);
+            assert!(sub.nodes.windows(2).all(|w| w[0] < w[1]));
+            for layer in &sub.layers {
+                assert!(layer.rows.windows(2).all(|w| w[0] < w[1]));
+                // CSR grouping: heads non-decreasing.
+                assert!(layer.heads.windows(2).all(|w| w[0] <= w[1]));
+            }
         }
     }
 
+    /// The head sets shrink layer by layer, each nested in the one before,
+    /// down to the seeds themselves at the last layer.
     #[test]
-    fn interior_edges_match_full_graph_slices() {
+    fn head_sets_are_nested_and_end_at_the_seeds() {
+        let ckg = world();
+        let mut scratch = SubgraphScratch::new(ckg.n_entities());
+        let sub = scratch.extract(&ckg, &[5, 0, 5], 3);
+        let mut prev = &sub.nodes;
+        for layer in &sub.layers {
+            assert!(layer.rows.len() <= prev.len());
+            assert!(layer.rows.iter().all(|g| prev.binary_search(g).is_ok()));
+            prev = &layer.rows;
+        }
+        assert_eq!(sub.layers.last().unwrap().rows, vec![0, 5]);
+        assert!(sub.layers[2].edge_ids.len() <= sub.layers[0].edge_ids.len());
+    }
+
+    #[test]
+    fn layer_edges_match_full_graph_slices() {
         let ckg = world();
         let mut scratch = SubgraphScratch::new(ckg.n_entities());
         let sub = scratch.extract(&ckg, &[0, 5], 2);
-        // Every interior node's local slice must be its complete global
-        // CSR slice, in order.
-        let mut cursor = 0;
-        for (li, &g) in sub.nodes[..sub.n_interior].iter().enumerate() {
-            for k in ckg.offsets[g]..ckg.offsets[g + 1] {
-                assert_eq!(sub.edge_ids[cursor], k);
-                assert_eq!(sub.heads[cursor], li);
-                assert_eq!(sub.nodes[sub.tails[cursor]], ckg.tails[k] as usize);
-                cursor += 1;
+        // Every head's edge group must be its complete global CSR slice,
+        // in order, with tails resolving in the previous layer's rows.
+        let mut prev = &sub.nodes;
+        for layer in &sub.layers {
+            let mut cursor = 0;
+            for (hi, &g) in layer.rows.iter().enumerate() {
+                for k in ckg.offsets[g]..ckg.offsets[g + 1] {
+                    assert_eq!(layer.edge_ids[cursor], k);
+                    assert_eq!(layer.heads[cursor], hi);
+                    assert_eq!(prev[layer.tails[cursor]], ckg.tails[k] as usize);
+                    cursor += 1;
+                }
             }
+            assert_eq!(cursor, layer.edge_ids.len());
+            prev = &layer.rows;
         }
-        assert_eq!(cursor, sub.n_edges());
+        assert_eq!(sub.n_edges(), sub.layers[0].edge_ids.len());
     }
 
     #[test]
-    fn seed_locals_handle_duplicates() {
+    fn seed_positions_handle_duplicates() {
         let ckg = world();
         let mut scratch = SubgraphScratch::new(ckg.n_entities());
         let sub = scratch.extract(&ckg, &[2, 0, 2], 1);
@@ -640,18 +721,31 @@ mod tests {
         assert_eq!(sub.seed_locals[0], sub.seed_locals[2]);
         assert_eq!(sub.nodes[sub.seed_locals[0]], 2);
         assert_eq!(sub.nodes[sub.seed_locals[1]], 0);
+        let layer = &sub.layers[0];
+        assert_eq!(layer.seeds[0], layer.seeds[2]);
+        assert_eq!(layer.rows[layer.seeds[1]], 0);
     }
 
     #[test]
-    fn depth_one_interior_is_exactly_the_seeds() {
+    fn depth_one_heads_are_exactly_the_seeds() {
         let ckg = world();
         let mut scratch = SubgraphScratch::new(ckg.n_entities());
         let sub = scratch.extract(&ckg, &[1, 0], 1);
-        assert_eq!(&sub.nodes[..sub.n_interior], &[0, 1]);
-        // Ring = 1-hop neighbors not already seeds.
-        for &t in &sub.tails {
+        assert_eq!(sub.layers[0].rows, vec![0, 1]);
+        for &t in &sub.layers[0].tails {
             assert!(t < sub.n_nodes());
         }
+    }
+
+    #[test]
+    fn depth_zero_is_the_seeds_without_layers() {
+        let ckg = world();
+        let mut scratch = SubgraphScratch::new(ckg.n_entities());
+        let sub = scratch.extract(&ckg, &[3, 1, 3], 0);
+        assert_eq!(sub.nodes, vec![1, 3]);
+        assert_eq!(sub.seed_locals, vec![1, 0, 1]);
+        assert!(sub.layers.is_empty());
+        assert_eq!(sub.n_edges(), 0);
     }
 
     #[test]
@@ -661,8 +755,7 @@ mod tests {
         let a = scratch.extract(&ckg, &[0], 2);
         let b = scratch.extract(&ckg, &[2], 2);
         let a2 = scratch.extract(&ckg, &[0], 2);
-        assert_eq!(a.nodes, a2.nodes);
-        assert_eq!(a.edge_ids, a2.edge_ids);
+        assert_eq!(a, a2);
         assert_ne!(a.nodes, b.nodes);
     }
 
@@ -694,12 +787,7 @@ mod tests {
         });
 
         for (i, (e, c)) in expected.iter().zip(&concurrent).enumerate() {
-            assert_eq!(e.nodes, c.nodes, "seed set {i}: nodes");
-            assert_eq!(e.n_interior, c.n_interior, "seed set {i}: interior");
-            assert_eq!(e.seed_locals, c.seed_locals, "seed set {i}: seed locals");
-            assert_eq!(e.edge_ids, c.edge_ids, "seed set {i}: edge ids");
-            assert_eq!(e.tails, c.tails, "seed set {i}: tails");
-            assert_eq!(e.heads, c.heads, "seed set {i}: heads");
+            assert_eq!(e, c, "seed set {i}");
         }
     }
 
@@ -724,15 +812,6 @@ mod tests {
             .expect("non-empty graph")
     }
 
-    fn assert_subgraphs_bitwise_equal(e: &BatchSubgraph, c: &BatchSubgraph, what: &str) {
-        assert_eq!(e.nodes, c.nodes, "{what}: nodes");
-        assert_eq!(e.n_interior, c.n_interior, "{what}: n_interior");
-        assert_eq!(e.seed_locals, c.seed_locals, "{what}: seed_locals");
-        assert_eq!(e.edge_ids, c.edge_ids, "{what}: edge_ids");
-        assert_eq!(e.tails, c.tails, "{what}: tails");
-        assert_eq!(e.heads, c.heads, "{what}: heads");
-    }
-
     /// One union traversal must reproduce independent extraction exactly,
     /// for every union width the replica macro-step uses and every depth
     /// the model configs use.
@@ -750,19 +829,18 @@ mod tests {
             vec![0, 6, 4],
         ];
         for width in [1usize, 2, 4, 8] {
-            for depth in 1..=3 {
+            for depth in 0..=3 {
                 let sets = &all_sets[..width];
                 let mut u_scratch = SubgraphScratch::new(ckg.n_entities());
                 let union = u_scratch.extract_many(&ckg, sets, depth, None);
-                union.validate(&ckg);
+                union.validate(&ckg, None);
                 assert_eq!(union.subgraphs.len(), width);
                 let mut i_scratch = SubgraphScratch::new(ckg.n_entities());
                 for (b, seeds) in sets.iter().enumerate() {
                     let independent = i_scratch.extract(&ckg, seeds, depth);
-                    assert_subgraphs_bitwise_equal(
-                        &independent,
-                        &union.subgraphs[b],
-                        &format!("width {width} depth {depth} set {b}"),
+                    assert_eq!(
+                        independent, union.subgraphs[b],
+                        "width {width} depth {depth} set {b}"
                     );
                 }
             }
@@ -783,45 +861,44 @@ mod tests {
             vec![2, 6, 10],
             vec![3, 7],
             vec![0, 9],
-            vec![hub, 1], // the hub as a seed must stay interior for this set
+            vec![hub, 1], // the hub as a seed must keep its slice for this set
             vec![2, 11],
             vec![3, 4, 5],
         ];
-        for depth in 1..=3 {
+        for depth in 0..=3 {
             let mut u_scratch = SubgraphScratch::new(ckg.n_entities());
             let union = u_scratch.extract_many(&ckg, &sets, depth, Some(&cut));
-            union.validate(&ckg);
+            union.validate(&ckg, Some(&cut));
             let mut i_scratch = SubgraphScratch::new(ckg.n_entities());
             for (b, seeds) in sets.iter().enumerate() {
-                let independent = i_scratch.extract_cut(&ckg, seeds, depth, &cut);
-                assert_subgraphs_bitwise_equal(
-                    &independent,
-                    &union.subgraphs[b],
-                    &format!("cut depth {depth} set {b}"),
-                );
+                let independent = extract_cut(&mut i_scratch, &ckg, seeds, depth, &cut);
+                assert_eq!(independent, union.subgraphs[b], "cut depth {depth} set {b}");
             }
         }
     }
 
-    /// A cut hub discovered well inside the receptive field is forced to
-    /// the ring (no edge slice), while the same hub used as a seed keeps
-    /// its full slice — the structural rule the hub cache depends on.
+    /// A cut hub discovered well inside the receptive field keeps its rows
+    /// but carries no edges, while the same hub used as a seed keeps its
+    /// full slice — the structural rule the hub cache depends on.
     #[test]
-    fn cut_hub_is_ring_unless_seeded() {
+    fn cut_hub_carries_no_edges_unless_seeded() {
         let ckg = hub_world();
         let hub = hub_of(&ckg);
         let mut cut = vec![false; ckg.n_entities()];
         cut[hub] = true;
         let mut scratch = SubgraphScratch::new(ckg.n_entities());
+        let hub_edges = |sub: &BatchSubgraph, l: usize| {
+            let layer = &sub.layers[l];
+            let hi = layer.rows.binary_search(&hub).expect("hub is a head");
+            layer.heads.iter().filter(|&&h| h == hi).count()
+        };
 
-        // Seed a user: the hub is 2 hops away, inside a depth-3 interior.
+        // Seed a user: the hub is 2 hops away, a head of layer 1 at depth 3.
         let plain = scratch.extract(&ckg, &[0], 3);
-        let plain_local = plain.nodes.iter().position(|&g| g == hub).expect("hub reachable");
-        assert!(plain_local < plain.n_interior, "without a cut the hub is interior");
+        assert!(hub_edges(&plain, 0) > 0, "without a cut the hub carries its slice");
 
-        let cut_sub = scratch.extract_cut(&ckg, &[0], 3, &cut);
-        let cut_local = cut_sub.nodes.iter().position(|&g| g == hub).expect("hub still reached");
-        assert!(cut_local >= cut_sub.n_interior, "cut hub must be demoted to the ring");
+        let cut_sub = extract_cut(&mut scratch, &ckg, &[0], 3, &cut);
+        assert_eq!(hub_edges(&cut_sub, 0), 0, "a cut hub carries no edges");
         assert!(
             cut_sub.n_edges() < plain.n_edges(),
             "cutting the hub must shrink the copied edge slices"
@@ -831,10 +908,11 @@ mod tests {
             "nodes reachable only through the hub must disappear"
         );
 
-        // Seeding the hub itself keeps it interior with its full slice.
-        let seeded = scratch.extract_cut(&ckg, &[hub], 2, &cut);
-        let li = seeded.nodes.iter().position(|&g| g == hub).expect("seed present");
-        assert!(li < seeded.n_interior, "a cut entity seeded by the batch stays interior");
+        // Seeding the hub itself keeps its full slice at every layer.
+        let seeded = extract_cut(&mut scratch, &ckg, &[hub], 2, &cut);
+        for l in 0..2 {
+            assert_eq!(hub_edges(&seeded, l), ckg.offsets[hub + 1] - ckg.offsets[hub]);
+        }
     }
 
     #[test]
@@ -845,8 +923,8 @@ mod tests {
         let mut b = SubgraphScratch::new(ckg.n_entities());
         for depth in 0..=3 {
             let plain = a.extract(&ckg, &[0, 5, 0], depth);
-            let cutted = b.extract_cut(&ckg, &[0, 5, 0], depth, &cut);
-            assert_subgraphs_bitwise_equal(&plain, &cutted, &format!("depth {depth}"));
+            let cutted = extract_cut(&mut b, &ckg, &[0, 5, 0], depth, &cut);
+            assert_eq!(plain, cutted, "depth {depth}");
         }
     }
 
@@ -859,11 +937,12 @@ mod tests {
         let a = scratch.extract(&ckg, &[0], 2);
         let u1 = scratch.extract_many(&ckg, &[vec![0], vec![2]], 2, None);
         let b = scratch.extract(&ckg, &[0], 2);
-        let u2 = scratch.extract_many(&ckg, &[vec![0], vec![2]], 2, None);
-        assert_subgraphs_bitwise_equal(&a, &b, "extract after extract_many");
-        assert_subgraphs_bitwise_equal(&u1.subgraphs[0], &u2.subgraphs[0], "union set 0");
-        assert_subgraphs_bitwise_equal(&u1.subgraphs[1], &u2.subgraphs[1], "union set 1");
-        assert_subgraphs_bitwise_equal(&a, &u1.subgraphs[0], "union vs single");
+        let u2 = scratch.extract_many(&ckg, &[vec![0], vec![2]], 3, None);
+        let u3 = scratch.extract_many(&ckg, &[vec![0], vec![2]], 2, None);
+        assert_eq!(a, b, "extract after extract_many");
+        assert_eq!(u1.subgraphs, u3.subgraphs, "union after a deeper union");
+        assert_eq!(u2.subgraphs[1], scratch.extract(&ckg, &[2], 3), "deeper union set 1");
+        assert_eq!(a, u1.subgraphs[0], "union vs single");
     }
 
     #[test]

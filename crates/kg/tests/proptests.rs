@@ -1,7 +1,7 @@
 //! Property-based tests for CKG construction and sampling invariants.
 
 use facility_kg::sampling::{sample_bpr_batch, sample_kg_batch};
-use facility_kg::{CkgBuilder, Id, Interactions, KnowledgeSource, SourceMask};
+use facility_kg::{CkgBuilder, Id, Interactions, KnowledgeSource, SourceMask, SubgraphScratch};
 use facility_linalg::prop::{check, f64_in, vec_of};
 use facility_linalg::{seeded_rng, Rng};
 use std::collections::HashSet;
@@ -172,6 +172,129 @@ fn kg_sampler_never_emits_facts_even_when_saturated() {
                 "emitted a corrupted tail that is a fact: {s:?}"
             );
             assert!(s.neg_tail != s.tail, "emitted neg_tail == tail: {s:?}");
+        }
+    });
+}
+
+/// A world plus batch seed sets (raw ids, reduced modulo the entity
+/// count; duplicates included), a depth and optional hub-cut flags
+/// (`cut[g]` is bit `g % 64` of the mask).
+#[derive(Debug, Clone)]
+struct FrontierCase {
+    world: World,
+    seed_sets: Vec<Vec<u32>>,
+    depth: usize,
+    cut: Option<u64>,
+}
+
+fn frontier_case(rng: &mut Rng) -> FrontierCase {
+    let world = world(rng);
+    let n_sets = rng.gen_range(1..5);
+    let seed_sets = vec_of(rng, n_sets, |g| {
+        let len = g.gen_range(1..7);
+        let mut s = vec_of(g, len, |g| g.next_u64() as u32);
+        // A repeated seed, as BPR batches repeat users and items.
+        s.push(s[0]);
+        s
+    });
+    let depth = rng.gen_range(0..5);
+    let cut = rng.gen_bool(0.5).then(|| rng.next_u64() & rng.next_u64());
+    FrontierCase { world, seed_sets, depth, cut }
+}
+
+/// The per-layer lists of one seed set as global ids, from plain
+/// hop distances: `depth` rounds of relaxation over every edge, where a
+/// cut entity relaxes its out-edges only when it is a seed.
+/// Returns the closure and, per layer, `(rows, edges as (head, edge id,
+/// tail))`.
+#[allow(clippy::type_complexity)]
+fn brute_force_levels(
+    ckg: &facility_kg::Ckg,
+    seeds: &[usize],
+    depth: usize,
+    cut: &dyn Fn(usize) -> bool,
+) -> (Vec<usize>, Vec<(Vec<usize>, Vec<(usize, usize, usize)>)>) {
+    let expands = |g: usize| !cut(g) || seeds.contains(&g);
+    let mut dist = vec![usize::MAX; ckg.n_entities()];
+    for &s in seeds {
+        dist[s] = 0;
+    }
+    for _ in 0..depth {
+        let before = dist.clone();
+        for e in 0..ckg.n_edges() {
+            let (h, t) = (ckg.heads[e] as usize, ckg.tails[e] as usize);
+            if before[h] != usize::MAX && expands(h) {
+                dist[t] = dist[t].min(before[h] + 1);
+            }
+        }
+    }
+    let within = |j: usize| -> Vec<usize> { (0..dist.len()).filter(|&g| dist[g] <= j).collect() };
+    let layers = (1..=depth)
+        .map(|l| {
+            let rows = within(depth - l);
+            let edges = rows
+                .iter()
+                .filter(|&&g| expands(g))
+                .flat_map(|&g| (ckg.offsets[g]..ckg.offsets[g + 1]).map(move |e| (g, e)))
+                .map(|(g, e)| (g, e, ckg.tails[e] as usize))
+                .collect();
+            (rows, edges)
+        })
+        .collect();
+    (within(depth), layers)
+}
+
+/// Extraction's level structure, read back as global ids, must equal the
+/// brute-force hop-distance computation: closure, every layer's head set
+/// and edge list, and every self, tail and seed position.
+fn assert_matches_brute_force(
+    ckg: &facility_kg::Ckg,
+    sub: &facility_kg::BatchSubgraph,
+    seeds: &[usize],
+    depth: usize,
+    cut: &dyn Fn(usize) -> bool,
+) {
+    let (closure, layers) = brute_force_levels(ckg, seeds, depth, cut);
+    assert_eq!(sub.nodes, closure, "closure");
+    assert_eq!(sub.layers.len(), depth, "one list set per layer");
+    for (&sl, &s) in sub.seed_locals.iter().zip(seeds) {
+        assert_eq!(sub.nodes[sl], s, "seed local");
+    }
+    let mut prev = &sub.nodes;
+    for (l, (layer, (rows, edges))) in sub.layers.iter().zip(&layers).enumerate() {
+        assert_eq!(&layer.rows, rows, "layer {} heads", l + 1);
+        let got: Vec<(usize, usize, usize)> = (0..layer.edge_ids.len())
+            .map(|k| (layer.rows[layer.heads[k]], layer.edge_ids[k], prev[layer.tails[k]]))
+            .collect();
+        assert_eq!(&got, edges, "layer {} edges", l + 1);
+        let selves: Vec<usize> = layer.self_rows.iter().map(|&p| prev[p]).collect();
+        assert_eq!(&selves, rows, "layer {} self rows", l + 1);
+        for (&p, &s) in layer.seeds.iter().zip(seeds) {
+            assert_eq!(layer.rows[p], s, "layer {} seed position", l + 1);
+        }
+        prev = &layer.rows;
+    }
+}
+
+#[test]
+fn frontier_levels_match_brute_force_hop_distances() {
+    check("frontier_levels_match_brute_force", CASES, frontier_case, |case| {
+        let ckg = build(&case.world, SourceMask::all_with_noise());
+        let n = ckg.n_entities();
+        let sets: Vec<Vec<usize>> =
+            case.seed_sets.iter().map(|s| s.iter().map(|&g| g as usize % n).collect()).collect();
+        let cut_flags: Option<Vec<bool>> =
+            case.cut.map(|m| (0..n).map(|g| m >> (g % 64) & 1 == 1).collect());
+        let is_cut = |g: usize| cut_flags.as_ref().is_some_and(|c| c[g]);
+        let mut scratch = SubgraphScratch::new(n);
+        for seeds in &sets {
+            let sub = scratch.extract(&ckg, seeds, case.depth);
+            assert_matches_brute_force(&ckg, &sub, seeds, case.depth, &|_| false);
+        }
+        let union = scratch.extract_many(&ckg, &sets, case.depth, cut_flags.as_deref());
+        for (seeds, sub) in sets.iter().zip(&union.subgraphs) {
+            assert_matches_brute_force(&ckg, sub, seeds, case.depth, &is_cut);
+            sub.validate(&ckg, cut_flags.as_deref());
         }
     });
 }

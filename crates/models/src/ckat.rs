@@ -30,11 +30,15 @@
 //! users/items, whose `L`-layer receptive field is the batch seeds' L-hop
 //! in-neighborhood — usually a small fraction of the CKG. With
 //! [`CkatConfig::batch_local`] (the default) each mini-batch extracts that
-//! receptive field as a compact remapped CSR subgraph
-//! ([`facility_kg::SubgraphScratch`]) and runs the propagation stack over
-//! it, so every intermediate activation and its gradient are
-//! O(subgraph) instead of O(graph). Three further optimizations ride on
-//! that structure:
+//! receptive field with its level structure
+//! ([`facility_kg::SubgraphScratch`]) and propagates **frontier by
+//! frontier**: layer `l` computes only the heads within `L − l` hops of
+//! the seeds (`F_{L−l}`), the rows a later layer or the loss reads, and
+//! the seed rows of each layer are gathered onto a running seed block
+//! right after it ([`propagate_frontier`]). Every activation and its
+//! gradient is O(that layer's frontier) instead of O(graph) — or
+//! O(closure), which on dense worlds is every entity. Three further
+//! optimizations ride on that structure:
 //!
 //! * **Sparse embedding gradients** — the entity matrix enters the tape
 //!   as a [`Tape::gather_leaf`] over exactly the subgraph rows, so
@@ -53,12 +57,16 @@
 //!   worker knows every seed set.
 //!
 //! Because the subgraph preserves the global CSR accumulation order
-//! (interior nodes sorted by global id, full edge slices copied
-//! verbatim), and lazy Adam's catch-up replays the exact per-step update
-//! recurrence, the batch-local path remains **bitwise identical** to
-//! full-graph propagation with dense Adam whenever dropout is off.
-//! Full-graph propagation remains the evaluation path and the
-//! differential-test oracle (`tests/batch_local_diff.rs`).
+//! (head rows sorted by global id, full edge slices copied verbatim), the
+//! seed gathers sit where the full-graph pass concatenates each layer, and
+//! lazy Adam's catch-up replays the exact per-step update recurrence, the
+//! batch-local path is **bitwise identical** to full-graph propagation
+//! with dense Adam. That holds under dropout too: each micro-batch draws
+//! one key, and [`Tape::dropout_keyed`] derives the mask of element
+//! `(layer, entity, column)` from it, so a row's mask does not depend on
+//! which rows share the tape. Full-graph propagation remains the
+//! evaluation path and the differential-test oracle
+//! (`tests/batch_local_diff.rs`).
 //!
 //! ## Replica mode: shared macro-step extraction + hub-representation cache
 //!
@@ -79,10 +87,11 @@
 //!   their per-layer outputs computed once per macro-step by a full-graph
 //!   forward against the frozen snapshot ([`HubReps`], invalidated by the
 //!   `param_version`/`att_epoch` stamps). Inside each batch tape the hub
-//!   rows are replaced with those cached values after every layer's
-//!   normalization ([`Tape::override_rows`] — a stop-gradient: hubs keep
-//!   learning through the layer-0 gather and TransR), and the union BFS
-//!   treats hubs as *cut* nodes whose neighborhoods are never extracted.
+//!   heads of every layer are replaced with those cached values after the
+//!   layer's normalization ([`Tape::override_rows`] on that layer's own
+//!   rows — a stop-gradient: hubs keep learning through the layer-0
+//!   gather and TransR), and the union BFS treats hubs as *cut* nodes
+//!   whose neighborhoods are never extracted.
 //!   Cached hub values equal the values their full neighborhoods would
 //!   produce, so the first macro-step is bitwise-identical to the
 //!   uncached path, and whole runs stay bitwise-identical across replica
@@ -90,6 +99,7 @@
 //!   eval/test oracle.
 //!
 //! [`Tape::override_rows`]: facility_autograd::Tape::override_rows
+//! [`Tape::dropout_keyed`]: facility_autograd::Tape::dropout_keyed
 
 use crate::common::{bpr_loss, dedup_seeds, dot_scores, union_locals, ModelConfig, TrainContext};
 use crate::profile::EpochProfile;
@@ -99,7 +109,8 @@ use crate::Recommender;
 use facility_autograd::{fold_grads_ordered, Adam, Grad, ParamId, ParamStore, Tape, Var};
 use facility_ckpt::{CkptError, ModelState};
 use facility_kg::sampling::{sample_bpr_batch, sample_kg_batch, BprSample, KgSample};
-use facility_kg::{BatchSubgraph, Ckg, Id, SubgraphScratch};
+use facility_kg::{BatchSubgraph, Ckg, Id, LayerFrontier, SubgraphScratch};
+use facility_linalg::rng::splitmix64;
 use facility_linalg::{init, pooled_map, seeded_rng, Matrix, Rng};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
@@ -129,8 +140,9 @@ pub struct CkatConfig {
     pub transr_dim: usize,
     /// TransR margin `γ`.
     pub margin: f32,
-    /// Propagate over the batch's L-hop receptive field instead of the
-    /// full CKG during training (numerically identical; see module docs).
+    /// Propagate each layer over its own frontier of the batch's L-hop
+    /// receptive field instead of the full CKG during training (bitwise
+    /// identical; see module docs).
     pub batch_local: bool,
     /// Replica mode only: compute the layer-stack outputs of hub entities
     /// (degree above [`CkatConfig::hub_percentile`]) once per macro-step
@@ -241,15 +253,14 @@ struct HubReps {
     layers: Vec<Matrix>,
 }
 
-/// Per-batch view of the hub cache: the hub rows present in one batch
-/// subgraph, remapped to local row indices, with their cached per-layer
-/// values ready for [`Tape::override_rows`].
+/// Per-batch view of the hub cache: per propagation layer, the hub heads
+/// of that layer's rows in one batch subgraph, as positions in those rows,
+/// with their cached values ready for [`Tape::override_rows`].
 struct HubOverride {
-    /// Local row indices of hub nodes in the batch subgraph, strictly
-    /// increasing (subgraph locals are assigned in traversal order, so
-    /// scanning `sub.nodes` in order yields sorted locals).
-    locals: Arc<Vec<usize>>,
-    /// `layers[l]`: `locals.len() × layer_dims[l]` cached values.
+    /// `locals[l]`: positions of the hub heads in layer `l + 1`'s rows,
+    /// strictly increasing (the rows are sorted by global id).
+    locals: Vec<Arc<Vec<usize>>>,
+    /// `layers[l]`: `locals[l].len() × layer_dims[l]` cached values.
     layers: Vec<Matrix>,
 }
 
@@ -425,7 +436,7 @@ impl Ckat {
         ent: Var,
         layer_w: &[Var],
         layer_b: &[Var],
-        dropout_rng: Option<&mut Rng>,
+        dropout_key: Option<u64>,
     ) -> Var {
         assert!(!self.att.is_empty(), "attention not refreshed");
         let att = t.constant(Matrix::from_vec(self.att.len(), 1, self.att.clone()));
@@ -439,8 +450,7 @@ impl Ckat {
             self.n_entities,
             layer_w,
             layer_b,
-            dropout_rng,
-            None,
+            dropout_key,
         )
     }
 
@@ -476,14 +486,35 @@ impl Ckat {
 
     /// Forward-only final representations (used for evaluation).
     fn final_representations(&self) -> Matrix {
-        let mut t = Tape::new();
-        let ent = t.constant(self.store.value(self.ent_emb).clone());
-        let lw: Vec<Var> =
-            self.layer_w.iter().map(|&p| t.constant(self.store.value(p).clone())).collect();
-        let lb: Vec<Var> =
-            self.layer_b.iter().map(|&p| t.constant(self.store.value(p).clone())).collect();
-        let all = self.propagate(&mut t, ent, &lw, &lb, None);
-        t.value(all).clone()
+        assert!(!self.att.is_empty(), "attention not refreshed");
+        // Forward only: each layer runs on a tape of its own, dropped
+        // before the next layer starts, so the pass holds one layer's
+        // intermediates instead of the whole stack's. The ops and their
+        // inputs are those of `propagate`, so the bits are too.
+        let mut h = self.store.value(self.ent_emb).clone();
+        let width = h.cols() + self.config.layer_dims.iter().sum::<usize>();
+        let mut all = Matrix::zeros(h.rows(), width);
+        let mut put = |block: &Matrix, at: usize| {
+            for (r, row) in block.iter_rows().enumerate() {
+                all.row_mut(r)[at..at + row.len()].copy_from_slice(row);
+            }
+            at + block.cols()
+        };
+        let mut at = put(&h, 0);
+        for l in 0..self.config.layer_dims.len() {
+            let mut t = Tape::new();
+            let h_in = t.constant(h);
+            let att = t.constant(Matrix::from_vec(self.att.len(), 1, self.att.clone()));
+            let w = t.constant(self.store.value(self.layer_w[l]).clone());
+            let b = t.constant(self.store.value(self.layer_b[l]).clone());
+            let (tails, heads) = (Arc::clone(&self.tails), Arc::clone(&self.heads));
+            let e_n = t.gather_scale_segment_sum(h_in, att, tails, heads, self.n_entities);
+            let out = layer_head(&self.config, &mut t, l, h_in, e_n, (w, b), None, &[]);
+            h = t.value(out).clone();
+            at = put(&h, at);
+        }
+        debug_assert_eq!(at, width);
+        all
     }
 
     /// Full-graph training arm: dense leaves, dense gradients, dense Adam
@@ -508,8 +539,10 @@ impl Ckat {
             prof.full_edges += full_edges;
             prof.gathered_rows += self.n_entities as u64;
             prof.gathered_edges += full_edges;
+            prof.frontier_rows += (self.n_entities * self.config.depth()) as u64;
             prof.forward_flops +=
                 propagation_flops(&self.config, self.n_entities as u64, full_edges);
+            let key = dropout_key(&self.config, rng);
             let users: Vec<usize> = batch.iter().map(|s| s.user as usize).collect();
             let pos: Vec<usize> = batch.iter().map(|s| ctx.ckg.item_entity(s.pos)).collect();
             let neg: Vec<usize> = batch.iter().map(|s| ctx.ckg.item_entity(s.neg)).collect();
@@ -521,7 +554,7 @@ impl Ckat {
                 self.layer_w.iter().map(|&p| t.leaf(self.store.value(p).clone())).collect();
             let lb: Vec<Var> =
                 self.layer_b.iter().map(|&p| t.leaf(self.store.value(p).clone())).collect();
-            let all = self.propagate(&mut t, ent, &lw, &lb, Some(rng));
+            let all = self.propagate(&mut t, ent, &lw, &lb, key);
             let u = t.gather_rows(all, &users);
             let i = t.gather_rows(all, &pos);
             let j = t.gather_rows(all, &neg);
@@ -590,12 +623,13 @@ impl Ckat {
     ///   while the main thread trains batch `b` (double buffering over a
     ///   bounded rendezvous channel),
     /// * the entity matrix enters each tape as a gather leaf over exactly
-    ///   the rows the batch reads, so backward yields a row-sparse
-    ///   gradient and lazy Adam steps only those rows,
+    ///   the rows the batch reads, each layer computes only its frontier
+    ///   ([`propagate_frontier`]), and backward yields a row-sparse
+    ///   gradient that lazy Adam steps only those rows with,
     /// * [`ParamStore::sync_rows`] catches every row up before a tape
     ///   snapshots it, and [`ParamStore::sync_all`] squares the whole
     ///   matrix off at epoch end — keeping the result bitwise identical
-    ///   to [`Ckat::run_batches_full`] whenever dropout is off.
+    ///   to [`Ckat::run_batches_full`], dropout included.
     fn run_batches_local(
         &mut self,
         ctx: &TrainContext<'_>,
@@ -648,28 +682,46 @@ impl Ckat {
         let (mut t, mut kt) = (Tape::new(), Tape::new());
         std::thread::scope(|sc| {
             // Capacity 1 = classic double buffering: the worker stays at
-            // most one extraction ahead of the trainer, bounding memory to
-            // two subgraphs.
-            let (tx, rx) = mpsc::sync_channel::<(BatchSubgraph, Vec<f32>, u64)>(1);
+            // most one extraction ahead of the trainer. Exactly two sets
+            // of subgraph buffers circulate: the worker extracts each
+            // batch into a set it takes from `back_rx`, and the trainer
+            // hands the set back after the batch's BPR step. Both sets
+            // are allocated here, on this thread, with room for the whole
+            // graph, so no subgraph buffer is allocated, grown or freed
+            // by the worker, whatever sizes the batches reach or however
+            // the two threads interleave.
+            // The worker borrows the seed sets and both channels are
+            // preallocated, so it frees nothing this thread allocated.
+            let (tx, rx) = mpsc::sync_channel::<(BatchSubgraph, Vec<Vec<f32>>, u64)>(1);
+            let (back_tx, back_rx) = mpsc::sync_channel::<(BatchSubgraph, Vec<Vec<f32>>)>(2);
+            let seed_sets = &seed_sets;
+            let max_seeds = seed_sets.iter().map(Vec::len).max().unwrap_or(0);
+            for _ in 0..2 {
+                let bufs = whole_graph_buffers(depth, n_entities, full_edges as usize, max_seeds);
+                back_tx.send(bufs).expect("the receiver is alive");
+            }
             sc.spawn(move || {
-                for seeds in &seed_sets {
+                for seeds in seed_sets {
+                    let Ok((mut sub, mut att_vals)) = back_rx.recv() else {
+                        return; // trainer bailed out early
+                    };
                     let clock = Instant::now();
-                    let sub = scratch.extract(ckg, seeds, depth);
-                    let att_vals: Vec<f32> = sub.edge_ids.iter().map(|&k| att[k]).collect();
+                    scratch.extract_into(ckg, seeds, depth, &mut sub);
+                    layer_attention_into(&sub, att, &mut att_vals);
                     let ns = clock.elapsed().as_nanos() as u64;
                     if tx.send((sub, att_vals, ns)).is_err() {
                         return; // trainer bailed out early
                     }
                 }
             });
-            for ((batch, kg_batch), pos_map) in batches.iter().zip(&pos_maps) {
+            for (i, ((batch, kg_batch), pos_map)) in batches.iter().zip(&pos_maps).enumerate() {
                 let b = batch.len();
                 prof.batches += 1;
                 prof.full_rows += n_entities as u64;
                 prof.full_edges += full_edges;
 
                 let clock = Instant::now();
-                let (sub, att_vals, extract_ns) =
+                let (mut sub, att_vals, extract_ns) =
                     rx.recv().expect("extraction worker terminated early");
                 // Critical-path attribution: the time this recv blocked is
                 // extraction wall time up to the batch's own extraction CPU
@@ -681,11 +733,7 @@ impl Ckat {
                 prof.extract_wall_ns += wall;
                 prof.extract_wait_ns += wait - wall;
                 prof.extract_ns += extract_ns;
-                let n_sub = sub.n_nodes();
-                let n_sub_edges = sub.n_edges();
-                prof.gathered_rows += n_sub as u64;
-                prof.gathered_edges += n_sub_edges as u64;
-                prof.forward_flops += propagation_flops(config, n_sub as u64, n_sub_edges as u64);
+                account_frontier(prof, config, &sub);
 
                 // Catch the subgraph's rows up to Adam's step count before
                 // the tape snapshots them.
@@ -693,16 +741,17 @@ impl Ckat {
                 store.sync_rows(adam, ent_emb, &sub.nodes);
                 prof.optimizer_ns += clock.elapsed().as_nanos() as u64;
 
-                let step = bpr_step(
+                let key = dropout_key(config, rng);
+                let (step, lent) = bpr_step(
                     &mut t,
                     config,
                     store,
                     (ent_emb, layer_w, layer_b),
-                    sub,
-                    att_vals,
+                    &mut sub,
+                    &att_vals,
                     pos_map,
                     b,
-                    rng,
+                    key,
                     None,
                 );
                 total += step.loss;
@@ -712,6 +761,15 @@ impl Ckat {
                 store.apply(adam, &step.grads);
                 prof.optimizer_ns += clock.elapsed().as_nanos() as u64;
                 step.recycle(&mut t);
+                // Reset now, not at the next step, so the tape lets go of
+                // the lent lists and the worker gets the buffers back.
+                t.reset();
+                lent.restore(&mut sub);
+                // Batch `i + 2` is extracted into this set; the last two
+                // sets are freed here, after the loop.
+                if i + 2 < batches.len() {
+                    back_tx.send((sub, att_vals)).expect("the worker waits for this set");
+                }
 
                 // --- TransR phase (L₁, Eq. 2), sparse over the batch's
                 // head/tail/corrupt-tail entity union ---
@@ -881,11 +939,8 @@ impl Ckat {
                 prof.batches += 1;
                 prof.full_rows += n_entities as u64;
                 prof.full_edges += full_edges;
-                prof.gathered_rows += sub.n_nodes() as u64;
-                prof.gathered_edges += sub.n_edges() as u64;
-                prof.forward_flops +=
-                    propagation_flops(config, sub.n_nodes() as u64, sub.n_edges() as u64);
-                let att_vals: Vec<f32> = sub.edge_ids.iter().map(|&e| att[e]).collect();
+                account_frontier(prof, config, &sub);
+                let att_vals = layer_attention(&sub, att);
                 let (kg_union, local_kg) =
                     if kg.is_empty() { (Vec::new(), Vec::new()) } else { kg_locals(&kg) };
                 if !use_cache {
@@ -924,11 +979,12 @@ impl Ckat {
                     });
                     prof.gathered_rows += n_entities as u64;
                     prof.gathered_edges += full_edges;
+                    prof.frontier_rows += (n_entities * depth) as u64;
                     prof.forward_flops += propagation_flops(config, n_entities as u64, full_edges);
                 }
                 let reps = hub_cache.as_ref().expect("hub cache refreshed above");
                 for p in &mut prepared {
-                    p.hub = build_hub_override(&p.sub.nodes, hub_flags, hub_ids, reps);
+                    p.hub = build_hub_override(&p.sub, hub_flags, hub_ids, reps);
                 }
                 prof.hub_cache_ns += clock.elapsed().as_nanos() as u64;
             } else {
@@ -947,16 +1003,17 @@ impl Ckat {
             let frozen: &ParamStore = store;
             let outs: Vec<(StepOut, Option<StepOut>)> =
                 pooled_map(&mut tapes, prepared, |(t, kt), _slot, mut p: PreparedBatch| {
-                    let bpr = bpr_step(
+                    let key = dropout_key(config, &mut p.rng);
+                    let (bpr, _) = bpr_step(
                         t,
                         config,
                         frozen,
                         (ent_emb, layer_w, layer_b),
-                        p.sub,
-                        p.att_vals,
+                        &mut p.sub,
+                        &p.att_vals,
                         &p.pos_map,
                         p.b,
-                        &mut p.rng,
+                        key,
                         p.hub.as_ref(),
                     );
                     // TransR tape against the *same* frozen snapshot.
@@ -1014,7 +1071,7 @@ impl Ckat {
 /// subgraph derived from the macro-step union, TransR ids remapped, hub
 /// override sliced — everything the train phase needs except the frozen
 /// parameter snapshot. Carries the batch's private RNG (post-sampling
-/// state) forward for dropout.
+/// state) forward for the dropout key.
 struct PreparedBatch {
     /// BPR batch size (the seed list is `3·b` positions deduped into
     /// `pos_map`).
@@ -1026,9 +1083,10 @@ struct PreparedBatch {
     /// Position `p` of the users‖pos‖neg seed layout maps to
     /// `sub.seed_locals[pos_map[p]]`.
     pos_map: Vec<usize>,
-    att_vals: Vec<f32>,
-    /// Hub rows present in `sub` with their cached layer values; `None`
-    /// when the hub cache is off or no hub landed in this subgraph.
+    /// Per-layer attention values, parallel to each layer's edges.
+    att_vals: Vec<Vec<f32>>,
+    /// Hub heads of `sub`'s layers with their cached layer values; `None`
+    /// when the hub cache is off or no hub is a head of this subgraph.
     hub: Option<HubOverride>,
     rng: Rng,
 }
@@ -1058,52 +1116,46 @@ impl StepOut {
 }
 
 /// The BPR step of one micro-batch, shared by the batch-local and the
-/// replica arms: reset `t`, propagate over the batch's subgraph `sub`
-/// (its per-edge attention in `att_vals`) against `store`, score the
-/// batch's `b` users/positives/negatives (seed position `p` is local row
-/// `sub.seed_locals[pos_map[p]]`), and take the row-sparse entity
-/// gradient and the dense layer gradients off the tape.
+/// replica arms: reset `t`, propagate layer by layer over the heads of the
+/// batch's subgraph `sub` (each layer's attention in `att_vals`) against
+/// `store` with [`propagate_frontier`], score the batch's `b`
+/// users/positives/negatives (seed position `p` is row `pos_map[p]` of the
+/// seed block), and take the row-sparse entity gradient and the dense
+/// layer gradients off the tape.
 #[allow(clippy::too_many_arguments)]
 fn bpr_step(
     t: &mut Tape,
     config: &CkatConfig,
     store: &ParamStore,
     (ent_emb, layer_w, layer_b): (ParamId, &[ParamId], &[ParamId]),
-    sub: BatchSubgraph,
-    att_vals: Vec<f32>,
+    sub: &mut BatchSubgraph,
+    att_vals: &[Vec<f32>],
     pos_map: &[usize],
     b: usize,
-    rng: &mut Rng,
+    dropout_key: Option<u64>,
     hub: Option<&HubOverride>,
-) -> StepOut {
+) -> (StepOut, Lent) {
     t.reset();
     let clock = Instant::now();
     let lw: Vec<Var> = layer_w.iter().map(|&p| t.leaf(store.value(p).clone())).collect();
     let lb: Vec<Var> = layer_b.iter().map(|&p| t.leaf(store.value(p).clone())).collect();
-    let (n_sub, n_sub_edges) = (sub.n_nodes(), sub.n_edges());
-    let BatchSubgraph { nodes, seed_locals, tails, heads, .. } = sub;
-    let att_col = t.constant(Matrix::from_vec(n_sub_edges, 1, att_vals));
-    let ent_sub = t.gather_leaf(store.value(ent_emb), Arc::new(nodes));
-    let all = propagate_over(
+    let lent = Lent::take(sub);
+    let ent_sub = t.gather_leaf(store.value(ent_emb), Arc::clone(&lent.nodes));
+    let seeds = propagate_frontier(
         config,
         t,
         ent_sub,
-        att_col,
-        Arc::new(tails),
-        Arc::new(heads),
-        n_sub,
+        sub,
+        &lent,
+        att_vals,
         &lw,
         &lb,
-        Some(rng),
+        dropout_key,
         hub,
     );
-    let local_of = |p: usize| seed_locals[pos_map[p]];
-    let u_locals: Vec<usize> = (0..b).map(local_of).collect();
-    let i_locals: Vec<usize> = (b..2 * b).map(local_of).collect();
-    let j_locals: Vec<usize> = (2 * b..3 * b).map(local_of).collect();
-    let u = t.gather_rows(all, &u_locals);
-    let i = t.gather_rows(all, &i_locals);
-    let j = t.gather_rows(all, &j_locals);
+    let u = t.gather_rows(seeds, &pos_map[..b]);
+    let i = t.gather_rows(seeds, &pos_map[b..2 * b]);
+    let j = t.gather_rows(seeds, &pos_map[2 * b..3 * b]);
     let loss = bpr_loss(t, u, i, j, b, config.base.l2);
     let loss_val = t.value(loss)[(0, 0)];
     let forward_ns = clock.elapsed().as_nanos() as u64;
@@ -1122,7 +1174,44 @@ fn bpr_step(
         }
     }
     let backward_ns = clock.elapsed().as_nanos() as u64;
-    StepOut { loss: loss_val, grads, forward_ns, backward_ns, gather: ent_sub }
+    (StepOut { loss: loss_val, grads, forward_ns, backward_ns, gather: ent_sub }, lent)
+}
+
+/// The index lists [`bpr_step`] hands its tape as shared buffers: the
+/// closure rows and each layer's self rows, edge tails and edge heads,
+/// moved out of the subgraph. Once the tape is reset, [`Lent::restore`]
+/// moves them back, so the next extraction into that subgraph reuses
+/// their capacity.
+struct Lent {
+    nodes: Arc<Vec<usize>>,
+    /// Per layer: `[self_rows, tails, heads]`.
+    layers: Vec<[Arc<Vec<usize>>; 3]>,
+}
+
+impl Lent {
+    fn take(sub: &mut BatchSubgraph) -> Self {
+        let lend = |v: &mut Vec<usize>| Arc::new(std::mem::take(v));
+        Lent {
+            nodes: lend(&mut sub.nodes),
+            layers: sub
+                .layers
+                .iter_mut()
+                .map(|l| [lend(&mut l.self_rows), lend(&mut l.tails), lend(&mut l.heads)])
+                .collect(),
+        }
+    }
+
+    /// Move the lists back into `sub`. A list a tape still shares comes
+    /// back empty; the next extraction then allocates it afresh.
+    fn restore(self, sub: &mut BatchSubgraph) {
+        let back = |a: Arc<Vec<usize>>| Arc::try_unwrap(a).unwrap_or_default();
+        sub.nodes = back(self.nodes);
+        for (l, [self_rows, tails, heads]) in sub.layers.iter_mut().zip(self.layers) {
+            l.self_rows = back(self_rows);
+            l.tails = back(tails);
+            l.heads = back(heads);
+        }
+    }
 }
 
 /// The TransR step (L₁, Eq. 2) of one micro-batch: reset `t` and take the
@@ -1183,15 +1272,15 @@ fn kg_locals(kg: &[KgSample]) -> (Vec<usize>, Vec<KgSample>) {
     (union, local_kg)
 }
 
-/// The propagation stack over an arbitrary CSR edge view: `h0` holds
-/// one embedding row per node, `tails`/`heads` are gather indices and
-/// segment ids into those rows, and `att` is the matching `(E, 1)`
-/// per-edge weight column. Used with the full CKG by [`Ckat::propagate`]
-/// and with a batch receptive field by [`Ckat::train_epoch`] — both views
-/// emit the exact same tape op sequence, which is what makes them
-/// differentially comparable. A free function (not a method) so the
-/// training loop can run it while a worker thread holds the model's
-/// extraction scratch.
+/// The propagation stack over a whole CSR edge view: `h0` holds one
+/// embedding row per node, `tails`/`heads` are gather indices and segment
+/// ids into those rows, and `att` is the matching `(E, 1)` per-edge
+/// weight column; every layer computes every row, and the result is the
+/// layer-concatenated representation of every node (Eq. 10). Used with
+/// the full CKG by [`Ckat::propagate`] (the full-graph training arm, the
+/// eval path) and by [`compute_hub_reps`]. A row's dropout mask is keyed
+/// by its node id, so training rows match [`propagate_frontier`]'s bit
+/// for bit.
 #[allow(clippy::too_many_arguments)]
 fn propagate_over(
     config: &CkatConfig,
@@ -1203,9 +1292,10 @@ fn propagate_over(
     n_segments: usize,
     layer_w: &[Var],
     layer_b: &[Var],
-    mut dropout_rng: Option<&mut Rng>,
-    hub: Option<&HubOverride>,
+    dropout_key: Option<u64>,
 ) -> Var {
+    let ids: Vec<usize> =
+        if dropout_key.is_some() { (0..n_segments).collect() } else { Vec::new() };
     let mut h = h0;
     let mut all = h0;
     for l in 0..config.layer_dims.len() {
@@ -1215,32 +1305,151 @@ fn propagate_over(
         // cross-mode equality the unfused chain satisfied still holds.
         let e_n =
             t.gather_scale_segment_sum(h, att, Arc::clone(&tails), Arc::clone(&heads), n_segments);
-        let mixed = match config.aggregator {
-            Aggregator::Concat => t.concat_cols(h, e_n),
-            Aggregator::Sum => t.add(h, e_n),
-        };
-        let z = t.matmul(mixed, layer_w[l]);
-        let zb = t.add_broadcast_row(z, layer_b[l]);
-        let activated = t.leaky_relu(zb);
-        let dropped = match dropout_rng.as_deref_mut() {
-            Some(r) if config.base.keep_prob < 1.0 => {
-                t.dropout(activated, config.base.keep_prob, r)
-            }
-            _ => activated,
-        };
-        // KGAT l2-normalizes each layer's output so no single order of
-        // connectivity dominates the concatenated representation.
-        h = t.normalize_rows(dropped);
-        if let Some(h_ov) = hub {
-            // Replace hub rows with their cached full-graph values
-            // *after* normalization, so layer `l+1` aggregates the exact
-            // representations the hubs' (un-extracted) neighborhoods
-            // would have produced. Gradients through hub rows stop here.
-            h = t.override_rows(h, Arc::clone(&h_ov.locals), &h_ov.layers[l]);
-        }
+        h = layer_head(config, t, l, h, e_n, (layer_w[l], layer_b[l]), dropout_key, &ids);
         all = t.concat_cols(all, h);
     }
     all
+}
+
+/// The propagation stack over a batch subgraph's per-layer lists
+/// ([`facility_kg::LayerFrontier`]): layer `l` aggregates its heads'
+/// edges (`att_vals[l]` per edge) and computes only its head rows from the
+/// previous layer's rows, and the seed rows of each layer's output are
+/// gathered onto the running seed block right after that layer — where
+/// [`propagate_over`] concatenates the layer onto every row — so the
+/// backward folds into each layer's gradient in the same order. Returns
+/// the seed block, `seeds × final_dim` with row `k` the final
+/// representation of seed `k` (`seed_locals` order), equal bit for bit
+/// to [`propagate_over`]'s rows at those seeds.
+///
+/// With `hub`, each layer's hub heads are replaced by their cached
+/// full-graph values after normalization (a stop-gradient), so the next
+/// layer aggregates the values the hubs' un-extracted neighborhoods would
+/// have produced.
+#[allow(clippy::too_many_arguments)]
+fn propagate_frontier(
+    config: &CkatConfig,
+    t: &mut Tape,
+    h0: Var,
+    sub: &BatchSubgraph,
+    lent: &Lent,
+    att_vals: &[Vec<f32>],
+    layer_w: &[Var],
+    layer_b: &[Var],
+    dropout_key: Option<u64>,
+    hub: Option<&HubOverride>,
+) -> Var {
+    let mut h = h0;
+    let mut block: Option<Var> = None;
+    for (l, ((layer, [self_rows, tails, heads]), att)) in
+        sub.layers.iter().zip(&lent.layers).zip(att_vals).enumerate()
+    {
+        let LayerFrontier { rows, seeds, .. } = layer;
+        let att = t.constant(Matrix::from_vec(tails.len(), 1, att.clone()));
+        let e_n =
+            t.gather_scale_segment_sum(h, att, Arc::clone(tails), Arc::clone(heads), rows.len());
+        let own = t.gather_rows_arc(h, Arc::clone(self_rows));
+        let wb = (layer_w[l], layer_b[l]);
+        let mut out = layer_head(config, t, l, own, e_n, wb, dropout_key, rows);
+        if let Some(h_ov) = hub {
+            out = t.override_rows(out, Arc::clone(&h_ov.locals[l]), &h_ov.layers[l]);
+        }
+        let before = match block {
+            Some(s) => s,
+            None => t.gather_rows(h, &sub.seed_locals),
+        };
+        let new = t.gather_rows(out, seeds);
+        block = Some(t.concat_cols(before, new));
+        h = out;
+    }
+    block.unwrap_or_else(|| t.gather_rows(h0, &sub.seed_locals))
+}
+
+/// Layer `l`'s head computation from each head's own previous-layer row
+/// `own` and its aggregated neighborhood `e_n` (Eqs. 6–7): concat or sum,
+/// `W_l`, bias, LeakyReLU, dropout keyed by the heads' entity ids `ids`,
+/// and the KGAT row normalization that keeps any one order of
+/// connectivity from dominating the concatenated representation.
+#[allow(clippy::too_many_arguments)]
+fn layer_head(
+    config: &CkatConfig,
+    t: &mut Tape,
+    l: usize,
+    own: Var,
+    e_n: Var,
+    (w, b): (Var, Var),
+    dropout_key: Option<u64>,
+    ids: &[usize],
+) -> Var {
+    let mixed = match config.aggregator {
+        Aggregator::Concat => t.concat_cols(own, e_n),
+        Aggregator::Sum => t.add(own, e_n),
+    };
+    let z = t.matmul(mixed, w);
+    let zb = t.add_broadcast_row(z, b);
+    let activated = t.leaky_relu(zb);
+    let dropped = match dropout_key {
+        Some(key) => t.dropout_keyed(activated, config.base.keep_prob, layer_key(key, l), ids),
+        None => activated,
+    };
+    t.normalize_rows(dropped)
+}
+
+/// The dropout key of propagation layer `l` under a micro-batch's key:
+/// mask element `(l, entity, column)` is a pure function of the
+/// micro-batch key (see [`Tape::dropout_keyed`]).
+fn layer_key(key: u64, l: usize) -> u64 {
+    splitmix64(key ^ splitmix64(l as u64))
+}
+
+/// One micro-batch's dropout key: a single draw from `rng` (the epoch
+/// stream, or the batch's private stream in replica mode), or `None` —
+/// and no draw — when dropout is off.
+fn dropout_key(config: &CkatConfig, rng: &mut Rng) -> Option<u64> {
+    (config.base.keep_prob < 1.0).then(|| rng.next_u64())
+}
+
+/// Each layer's attention values, parallel to that layer's edges.
+fn layer_attention(sub: &BatchSubgraph, att: &[f32]) -> Vec<Vec<f32>> {
+    let mut out = Vec::new();
+    layer_attention_into(sub, att, &mut out);
+    out
+}
+
+/// An empty subgraph and per-layer attention lists with room for every
+/// entity and edge at every layer and `n_seeds` seeds, so that extracting
+/// any batch of at most that many seeds into them never reallocates.
+/// Pages are touched only as far as batches fill them.
+fn whole_graph_buffers(
+    depth: usize,
+    n_entities: usize,
+    n_edges: usize,
+    n_seeds: usize,
+) -> (BatchSubgraph, Vec<Vec<f32>>) {
+    let rows = || Vec::with_capacity(n_entities);
+    let edges = || Vec::with_capacity(n_edges);
+    let seeds = || Vec::with_capacity(n_seeds);
+    let layers = (0..depth)
+        .map(|_| LayerFrontier {
+            rows: rows(),
+            self_rows: rows(),
+            edge_ids: edges(),
+            tails: edges(),
+            heads: edges(),
+            seeds: seeds(),
+        })
+        .collect();
+    let sub = BatchSubgraph { nodes: rows(), seed_locals: seeds(), layers };
+    (sub, (0..depth).map(|_| Vec::with_capacity(n_edges)).collect())
+}
+
+/// [`layer_attention`] into `out`, rewriting its lists in place.
+fn layer_attention_into(sub: &BatchSubgraph, att: &[f32], out: &mut Vec<Vec<f32>>) {
+    out.resize_with(sub.layers.len(), Vec::new);
+    for (vals, l) in out.iter_mut().zip(&sub.layers) {
+        vals.clear();
+        vals.extend(l.edge_ids.iter().map(|&k| att[k]));
+    }
 }
 
 /// Full-graph layer-stack outputs of every hub, against the *current*
@@ -1277,7 +1486,6 @@ fn compute_hub_reps(
         &lw,
         &lb,
         None,
-        None,
     );
     let val = t.value(all);
     let mut col = config.base.embed_dim;
@@ -1294,60 +1502,67 @@ fn compute_hub_reps(
 }
 
 /// Slice one batch's [`HubOverride`] out of the macro-step [`HubReps`]:
-/// the hub nodes present in the subgraph (seed hubs stay interior, cut
-/// hubs sit in the ring), as strictly-increasing local rows with their
-/// cached per-layer values.
+/// per layer, the hubs among that layer's heads (a seed hub carries its
+/// slice, a cut hub none — either way the cache supplies its output), as
+/// strictly-increasing row positions with their cached values.
 fn build_hub_override(
-    sub_nodes: &[usize],
+    sub: &BatchSubgraph,
     hub_flags: &[bool],
     hub_ids: &[usize],
     reps: &HubReps,
 ) -> Option<HubOverride> {
-    let mut locals = Vec::new();
-    let mut rows = Vec::new();
-    for (local, &g) in sub_nodes.iter().enumerate() {
-        if hub_flags[g] {
-            locals.push(local);
-            rows.push(hub_ids.binary_search(&g).expect("every hub flag has a hub id"));
-        }
-    }
-    if locals.is_empty() {
-        return None;
-    }
-    let layers = reps
+    let mut any = false;
+    let (locals, layers) = sub
         .layers
         .iter()
-        .map(|m| {
-            let mut out = Matrix::zeros(rows.len(), m.cols());
-            for (r, &src) in rows.iter().enumerate() {
-                out.row_mut(r).copy_from_slice(m.row(src));
+        .zip(&reps.layers)
+        .map(|(layer, cached)| {
+            let mut locals = Vec::new();
+            let mut rows = Vec::new();
+            for (pos, &g) in layer.rows.iter().enumerate() {
+                if hub_flags[g] {
+                    locals.push(pos);
+                    rows.push(hub_ids.binary_search(&g).expect("every hub flag has a hub id"));
+                }
             }
-            out
+            any |= !locals.is_empty();
+            (Arc::new(locals), cached.gather_rows(&rows))
         })
-        .collect();
-    Some(HubOverride { locals: Arc::new(locals), layers })
+        .unzip();
+    any.then_some(HubOverride { locals, layers })
 }
 
-/// Closed-form FLOP estimate for one propagation forward pass over
-/// `rows` node rows and `edges` messages.
+/// Closed-form FLOP estimate for propagation layer `l` computing `rows`
+/// head rows from `edges` messages.
+fn layer_flops(config: &CkatConfig, l: usize, rows: u64, edges: u64) -> u64 {
+    let in_dim = if l == 0 { config.base.embed_dim } else { config.layer_dims[l - 1] } as u64;
+    let out = config.layer_dims[l] as u64;
+    let w_rows = match config.aggregator {
+        Aggregator::Concat => 2 * in_dim,
+        Aggregator::Sum => in_dim,
+    };
+    // Attention scaling plus segment-sum accumulation per message, the
+    // dense layer matmul plus bias, then LeakyReLU and row normalization.
+    2 * edges * in_dim + rows * (2 * w_rows + 1) * out + 4 * rows * out
+}
+
+/// Closed-form FLOP estimate for one full propagation forward pass, every
+/// layer over `rows` node rows and `edges` messages.
 fn propagation_flops(config: &CkatConfig, rows: u64, edges: u64) -> u64 {
-    let mut flops = 0u64;
-    let mut in_dim = config.base.embed_dim as u64;
-    for &out_dim in &config.layer_dims {
-        let out = out_dim as u64;
-        let w_rows = match config.aggregator {
-            Aggregator::Concat => 2 * in_dim,
-            Aggregator::Sum => in_dim,
-        };
-        // Attention scaling plus segment-sum accumulation per message.
-        flops += 2 * edges * in_dim;
-        // Dense layer matmul plus bias.
-        flops += rows * (2 * w_rows + 1) * out;
-        // LeakyReLU and row normalization.
-        flops += 4 * rows * out;
-        in_dim = out;
+    (0..config.depth()).map(|l| layer_flops(config, l, rows, edges)).sum()
+}
+
+/// Account one batch subgraph's work: closure rows and edges gathered,
+/// each layer's own head rows, and the forward FLOPs of each layer over
+/// its own rows and edges.
+fn account_frontier(prof: &mut EpochProfile, config: &CkatConfig, sub: &BatchSubgraph) {
+    prof.gathered_rows += sub.n_nodes() as u64;
+    prof.gathered_edges += sub.n_edges() as u64;
+    for (l, layer) in sub.layers.iter().enumerate() {
+        let (rows, edges) = (layer.rows.len() as u64, layer.edge_ids.len() as u64);
+        prof.frontier_rows += rows;
+        prof.forward_flops += layer_flops(config, l, rows, edges);
     }
-    flops
 }
 
 impl Recommender for Ckat {
@@ -1380,11 +1595,11 @@ impl Recommender for Ckat {
             // Legacy per-batch path. Draw every mini-batch up front, in
             // the legacy interleaved order (BPR then TransR per batch,
             // stopping at the first empty BPR draw before its TransR
-            // draw). With dropout off this consumes the RNG stream
-            // exactly as inline sampling did, which is what lets the
-            // prefetching batch-local arm stay bitwise comparable to the
-            // full-graph oracle; it also hands the extraction worker
-            // every seed set ahead of time. An empty first draw abandons
+            // draw). Both arms then take one dropout key per micro-batch
+            // from the same stream, in batch order, which is what lets
+            // the prefetching batch-local arm stay bitwise comparable to
+            // the full-graph oracle; drawing up front also hands the
+            // extraction worker every seed set. An empty first draw abandons
             // the epoch but still *falls through* to the invalidation
             // below — an earlier version returned 0.0 early and kept
             // serving stale eval caches.
@@ -1793,6 +2008,55 @@ mod tests {
         assert!(prof.hub_cache_ns > 0, "cache refresh must be timed");
     }
 
+    /// The hub override is remapped per layer: with the hubs cut out of
+    /// extraction and their cached values injected into each layer's own
+    /// head rows, a micro-batch's BPR loss is bitwise the uncut one, on a
+    /// world where the layers' head sets differ.
+    #[test]
+    fn per_layer_hub_override_is_bitwise_exact() {
+        use crate::test_fixtures::structured_world;
+        let (inter, ckg) = structured_world(300, 400, 4, 3);
+        let ctx = TrainContext { inter: &inter, ckg: &ckg };
+        let mut cfg = fast_config();
+        cfg.layer_dims = vec![16, 8, 4];
+        let mut model = Ckat::new(&ctx, &cfg);
+        assert!(!model.hub_ids.is_empty(), "the data-type entities are hubs");
+        model.refresh_attention(&ctx);
+        let bpr = sample_bpr_batch(&inter, 8, &mut seeded_rng(4));
+        let b = bpr.len();
+        let mut seeds: Vec<usize> = bpr.iter().map(|x| x.user as usize).collect();
+        seeds.extend(bpr.iter().map(|x| ckg.item_entity(x.pos)));
+        seeds.extend(bpr.iter().map(|x| ckg.item_entity(x.neg)));
+        let (seeds, pos_map) = dedup_seeds(&seeds);
+        let (depth, flags) = (cfg.depth(), model.hub_flags.clone());
+        let plain = model.scratch.extract(&ckg, &seeds, depth);
+        let cut =
+            model.scratch.extract_many(&ckg, &[seeds], depth, Some(&flags)).subgraphs.remove(0);
+        assert!(cut.n_edges() < plain.n_edges(), "the cut must drop hub slices");
+        let layers = compute_hub_reps(
+            &cfg,
+            &model.store,
+            model.ent_emb,
+            &model.layer_w,
+            &model.layer_b,
+            &model.att,
+            &model.tails,
+            &model.heads,
+            model.n_entities,
+            &model.hub_ids,
+        );
+        let reps = HubReps { param_version: 0, att_epoch: 0, layers };
+        let hub = build_hub_override(&cut, &flags, &model.hub_ids, &reps).expect("hub heads");
+        assert_ne!(hub.locals[0], hub.locals[1], "hub heads sit at other positions per layer");
+        let ids = (model.ent_emb, model.layer_w.as_slice(), model.layer_b.as_slice());
+        let loss = |mut sub: BatchSubgraph, hub: Option<&HubOverride>| {
+            let att = layer_attention(&sub, &model.att);
+            let mut t = Tape::new();
+            bpr_step(&mut t, &cfg, &model.store, ids, &mut sub, &att, &pos_map, b, None, hub).0.loss
+        };
+        assert_eq!(loss(cut, Some(&hub)).to_bits(), loss(plain, None).to_bits());
+    }
+
     /// The cache is stamped with the parameter/attention versions it was
     /// computed against and must be discarded when either moves.
     #[test]
@@ -1854,6 +2118,23 @@ mod tests {
     /// buffer of the first — a change that routes an op around the tape's
     /// slots fails here instead of quietly costing fresh pages per step.
     #[test]
+    fn layerwise_final_representations_match_the_stacked_tape() {
+        let (inter, ckg) = toy_world();
+        let ctx = TrainContext { inter: &inter, ckg: &ckg };
+        let mut model = Ckat::new(&ctx, &fast_config());
+        model.train_epoch(&ctx, &mut seeded_rng(3));
+        model.refresh_attention(&ctx);
+        let mut t = Tape::new();
+        let constant = |t: &mut Tape, p: ParamId| t.constant(model.store.value(p).clone());
+        let ent = constant(&mut t, model.ent_emb);
+        let lw: Vec<Var> = model.layer_w.iter().map(|&p| constant(&mut t, p)).collect();
+        let lb: Vec<Var> = model.layer_b.iter().map(|&p| constant(&mut t, p)).collect();
+        let stacked = model.propagate(&mut t, ent, &lw, &lb, None);
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        assert_eq!(bits(t.value(stacked)), bits(&model.final_representations()));
+    }
+
+    #[test]
     fn identical_micro_batch_reuses_every_large_tape_buffer() {
         use crate::test_fixtures::structured_world;
         use facility_autograd::tape::LARGE_BUFFER;
@@ -1873,21 +2154,20 @@ mod tests {
         let (seeds, pos_map) = dedup_seeds(&seeds);
         let sub = model.scratch.extract(&ckg, &seeds, cfg.depth());
         assert!(sub.n_nodes() * cfg.base.embed_dim >= LARGE_BUFFER, "subgraph too small to matter");
-        let att_vals: Vec<f32> = sub.edge_ids.iter().map(|&k| model.att[k]).collect();
+        let att_vals = layer_attention(&sub, &model.att);
         let ids = (model.ent_emb, model.layer_w.as_slice(), model.layer_b.as_slice());
         let mut t = Tape::new();
         let mut step = || {
-            let mut rng = seeded_rng(9);
-            let out = bpr_step(
+            let (out, _) = bpr_step(
                 &mut t,
                 &cfg,
                 &model.store,
                 ids,
-                sub.clone(),
-                att_vals.clone(),
+                &mut sub.clone(),
+                &att_vals,
                 &pos_map,
                 b,
-                &mut rng,
+                Some(9),
                 None,
             );
             out.loss.to_bits()

@@ -78,6 +78,10 @@ pub struct EpochProfile {
     pub gathered_rows: u64,
     /// CKG edges propagated, summed over batches.
     pub gathered_edges: u64,
+    /// Head rows the propagation layers computed, summed over layers and
+    /// batches: each layer's own frontier on the batch-local paths,
+    /// `n_entities` per layer for a full-graph pass.
+    pub frontier_rows: u64,
     /// Rows the full-graph path would have used (`n_entities · batches`).
     pub full_rows: u64,
     /// Edges the full-graph path would have used (`n_edges · batches`).

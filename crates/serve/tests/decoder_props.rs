@@ -142,7 +142,7 @@ fn model_state_bytes(rng: &mut Rng) -> Vec<u8> {
 
 fn encode_state(s: &ModelState) -> Vec<u8> {
     let mut w = Writer::new();
-    s.encode(&mut w);
+    s.encode(&mut w).expect("generated slots keep their moments paired");
     w.into_bytes()
 }
 
