@@ -202,13 +202,6 @@ enum Op {
         keep: Arc<Vec<bool>>,
         scale: f32,
     },
-    /// Replace the listed rows of `a` with externally computed constants
-    /// (the hub-representation cache); gradients through those rows are
-    /// stopped.
-    OverrideRows {
-        a: Var,
-        rows: Arc<Vec<usize>>,
-    },
     /// Sum of all elements → `1 × 1`.
     SumAll {
         a: Var,
@@ -241,7 +234,6 @@ impl Op {
             | Op::SegmentSoftmax { a, .. }
             | Op::SegmentSum { a, .. }
             | Op::Dropout { a, .. }
-            | Op::OverrideRows { a, .. }
             | Op::SumAll { a }
             | Op::MeanAll { a }
             | Op::FrobeniusSq { a } => [Some(a), None],
@@ -1012,39 +1004,6 @@ impl Tape {
         self.push(Matrix::from_vec(rows, cols, out), op)
     }
 
-    /// Replace rows `rows[i]` of `a` with row `i` of `values`, treating
-    /// the injected rows as *constants*: the backward pass propagates a
-    /// zero gradient through every overridden row (stop-gradient) and the
-    /// untouched rows pass their gradient through unchanged.
-    ///
-    /// This is the injection point for per-macro-step caches (e.g. CKAT's
-    /// hub-representation cache): values computed once outside the tape
-    /// against a frozen snapshot replace recomputation inside it.
-    /// `rows` must be strictly increasing; an empty `rows` is the
-    /// identity and records no node.
-    ///
-    /// # Panics
-    /// Panics if `rows` is not strictly increasing, a row index is out of
-    /// bounds, or `values` is not `rows.len() × a.cols()`.
-    pub fn override_rows(&mut self, a: Var, rows: Arc<Vec<usize>>, values: &Matrix) -> Var {
-        if rows.is_empty() {
-            return a;
-        }
-        let (n_rows, cols) = self.value(a).shape();
-        assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
-            "override_rows: rows must be strictly increasing"
-        );
-        assert!(*rows.last().unwrap() < n_rows, "override_rows: row index out of bounds");
-        assert_eq!(values.shape(), (rows.len(), cols), "override_rows: values shape mismatch");
-        let mut out = self.value_buf(n_rows * cols, false);
-        out.copy_from_slice(self.nodes[a.0].value.as_slice());
-        for (i, &r) in rows.iter().enumerate() {
-            out[r * cols..(r + 1) * cols].copy_from_slice(values.row(i));
-        }
-        self.push(Matrix::from_vec(n_rows, cols, out), Op::OverrideRows { a, rows })
-    }
-
     /// Sum of every element → `1 × 1`.
     pub fn sum_all(&mut self, a: Var) -> Var {
         let value = Matrix::from_vec(1, 1, vec![self.value(a).sum()]);
@@ -1526,18 +1485,6 @@ impl Tape {
                     }
                 });
             }
-            Op::OverrideRows { a, rows } => {
-                let (a, rows) = (*a, Arc::clone(rows));
-                // Overridden rows are constants: their gradient stops
-                // here; all other rows pass through.
-                let cols = g.cols();
-                self.acc_with(a, false, |_, out| {
-                    out.copy_from_slice(g.as_slice());
-                    for &r in rows.iter() {
-                        out[r * cols..(r + 1) * cols].fill(0.0);
-                    }
-                });
-            }
             Op::SumAll { a } => {
                 let (a, s) = (*a, g[(0, 0)]);
                 self.acc_with(a, false, |_, out| out.fill(s));
@@ -1663,18 +1610,6 @@ impl Tape {
                 expect(shape == a, "Dropout output shape mismatch");
                 expect(keep.len() == a.0 * a.1, "Dropout mask length != element count");
             }
-            Op::OverrideRows { a, rows } => {
-                let a = input(*a);
-                expect(shape == a, "OverrideRows output shape mismatch");
-                expect(
-                    rows.windows(2).all(|w| w[0] < w[1]),
-                    "OverrideRows rows not strictly increasing",
-                );
-                expect(
-                    rows.last().is_none_or(|&r| r < a.0),
-                    "OverrideRows row index out of bounds",
-                );
-            }
             Op::ConcatCols { a, b } => {
                 let (a, b) = (input(*a), input(*b));
                 expect(a.0 == b.0, "ConcatCols row counts disagree");
@@ -1769,48 +1704,6 @@ mod tests {
         let grad = t.grad(e).unwrap();
         // Row 0 gathered twice → gradient 2; row 1 never → 0; row 2 once.
         assert_eq!(grad.as_slice(), &[2., 2., 0., 0., 1., 1.]);
-    }
-
-    #[test]
-    fn override_rows_forward_replaces_and_backward_stops_gradient() {
-        let mut t = Tape::new();
-        let x = t.leaf(Matrix::from_vec(3, 2, vec![1., 1., 2., 2., 3., 3.]));
-        let y = t.scale(x, 2.0);
-        let cached = Matrix::from_vec(2, 2, vec![10., 20., 30., 40.]);
-        let z = t.override_rows(y, Arc::new(vec![0, 2]), &cached);
-        assert_eq!(t.value(z).as_slice(), &[10., 20., 4., 4., 30., 40.]);
-        let loss = t.sum_all(z);
-        t.backward(loss);
-        // Rows 0 and 2 are constants → no gradient flows back through
-        // them; row 1 passes through the ×2.
-        assert_eq!(t.grad(x).unwrap().as_slice(), &[0., 0., 2., 2., 0., 0.]);
-    }
-
-    #[test]
-    fn override_rows_with_empty_rows_is_identity() {
-        let mut t = Tape::new();
-        let x = t.leaf(Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]));
-        let empty = Matrix::zeros(0, 2);
-        let y = t.override_rows(x, Arc::new(Vec::new()), &empty);
-        assert_eq!(y, x, "no node recorded for an empty override");
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn override_rows_rejects_unsorted_rows() {
-        let mut t = Tape::new();
-        let x = t.leaf(Matrix::zeros(3, 2));
-        let vals = Matrix::zeros(2, 2);
-        t.override_rows(x, Arc::new(vec![2, 0]), &vals);
-    }
-
-    #[test]
-    #[should_panic(expected = "values shape mismatch")]
-    fn override_rows_rejects_wrong_value_shape() {
-        let mut t = Tape::new();
-        let x = t.leaf(Matrix::zeros(3, 2));
-        let vals = Matrix::zeros(1, 2);
-        t.override_rows(x, Arc::new(vec![0, 2]), &vals);
     }
 
     #[test]

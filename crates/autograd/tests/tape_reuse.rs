@@ -173,12 +173,6 @@ const CASES: &[(&str, Case)] = &[
         let y = t.dropout_with_mask(x, (0..3 * n).map(|i| i % 3 != 1).collect(), 0.5);
         with_loss(t, vec![x], y)
     }),
-    ("OverrideRows", |t, n| {
-        let x = t.leaf(data(n, 3, 1));
-        let s = t.scale(x, 2.0);
-        let y = t.override_rows(s, Arc::new(vec![0, 2, n - 1]), &data(3, 3, 2));
-        with_loss(t, vec![x, s], y)
-    }),
     ("SumAll", |t, n| {
         let x = t.leaf(data(n, 3, 1));
         let y = t.sum_all(x);
@@ -215,10 +209,9 @@ const CASES: &[(&str, Case)] = &[
             let zb = t.add_broadcast_row(z, b);
             let act = t.leaky_relu(zb);
             let dropped = t.dropout(act, 0.8, &mut rng);
-            let normed = t.normalize_rows(dropped);
-            h = t.override_rows(normed, Arc::new(vec![1, n / 2]), &data(2, 4, 7));
+            h = t.normalize_rows(dropped);
             all = t.concat_cols(all, h);
-            vars.extend([e_n, mixed, w, b, z, zb, act, dropped, normed, h, all]);
+            vars.extend([e_n, mixed, w, b, z, zb, act, dropped, h, all]);
         }
         let u = t.gather_rows(all, &(0..n / 3).collect::<Vec<_>>());
         let i = t.gather_rows(all, &(n / 3..2 * (n / 3)).collect::<Vec<_>>());

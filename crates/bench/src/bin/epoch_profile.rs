@@ -30,16 +30,16 @@
 //! record per facility into `BENCH_ckat_replicas.json`. The `> 1.5×`
 //! speedup gate at `R = 4` only fires on the `--huge` world with at least
 //! 4 cores — on fewer cores the sweep still proves determinism and
-//! records honest (≈1×) numbers.
+//! records honest (≈1×) numbers. Each record carries the git revision it
+//! was measured at.
 //!
-//! The sweep runs with the hub-representation cache on (the default
-//! config) and always enforces the extraction-scaling gate: aggregate
+//! The sweep always enforces the extraction-scaling gate: aggregate
 //! extraction CPU (`extract_ns`, summed across the pool) at the largest
 //! replica count must stay within [`EXTRACT_CPU_RTOL`]× of `R = 1`,
 //! because one shared union traversal per macro-step serves every
 //! micro-batch regardless of `R`.
 
-use facility_bench::{HarnessOpts, Profile};
+use facility_bench::{git_rev, HarnessOpts, Profile};
 use facility_ckat::{Experiment, ExperimentConfig};
 use facility_linalg::seeded_rng;
 use facility_models::ckat::Ckat;
@@ -56,7 +56,7 @@ fn run_entry(mode: &str, epoch: usize, loss: f32, p: &EpochProfile) -> String {
             "\"sampling_ns\": {}, \"attention_ns\": {}, \"forward_ns\": {}, ",
             "\"backward_ns\": {}, \"optimizer_ns\": {}, \"extract_ns\": {}, ",
             "\"extract_wall_ns\": {}, \"extract_wait_ns\": {}, ",
-            "\"hub_cache_ns\": {}, \"eval_ns\": {}, \"forward_flops\": {}, ",
+            "\"eval_ns\": {}, \"forward_flops\": {}, ",
             "\"gathered_rows\": {}, \"gathered_edges\": {}, \"frontier_rows\": {}, ",
             "\"full_rows\": {}, \"full_edges\": {}, \"batches\": {}, ",
             "\"row_fraction\": {:.6}, \"edge_fraction\": {:.6}}}"
@@ -72,7 +72,6 @@ fn run_entry(mode: &str, epoch: usize, loss: f32, p: &EpochProfile) -> String {
         p.extract_ns,
         p.extract_wall_ns,
         p.extract_wait_ns,
-        p.hub_cache_ns,
         p.eval_ns,
         p.forward_flops,
         p.gathered_rows,
@@ -165,7 +164,6 @@ fn main() {
             sum.extract_ns += p.extract_ns;
             sum.extract_wall_ns += p.extract_wall_ns;
             sum.extract_wait_ns += p.extract_wait_ns;
-            sum.hub_cache_ns += p.hub_cache_ns;
             sum.eval_ns += p.eval_ns;
             sum.forward_flops += p.forward_flops;
             sum.gathered_rows += p.gathered_rows;
@@ -263,7 +261,6 @@ struct ReplicaRun {
     extract_ns: u64,
     extract_wall_ns: u64,
     extract_wait_ns: u64,
-    hub_cache_ns: u64,
     losses: Vec<f32>,
 }
 
@@ -293,8 +290,8 @@ fn run_replica_sweep(
          macro width {MACRO_WIDTH}, {epochs} epochs each =="
     );
 
+    let rev = git_rev();
     let mut runs: Vec<ReplicaRun> = Vec::new();
-    let mut hub_entities = 0usize;
     for &r in &sweep {
         let mut cfg = opts.ckat_config();
         cfg.batch_local = true;
@@ -313,25 +310,18 @@ fn run_replica_sweep(
             extract_ns: 0,
             extract_wall_ns: 0,
             extract_wait_ns: 0,
-            hub_cache_ns: 0,
             losses: Vec::with_capacity(epochs),
         };
-        if r == sweep[0] {
-            hub_entities = model.hub_count();
-            eprintln!("  hub cache: {hub_entities} hub entities");
-        }
         for epoch in 1..=epochs {
             let loss = model.train_epoch(&ctx, &mut rng);
             let p = model.take_epoch_profile().expect("CKAT records profiles");
             eprintln!(
                 "  R={r} epoch {epoch}: loss {loss:.4}, wall {:.1} ms \
-                 (reduce {:.1} ms, extract {:.1} ms CPU / {:.1} ms wall, \
-                 hub cache {:.1} ms)",
+                 (reduce {:.1} ms, extract {:.1} ms CPU / {:.1} ms wall)",
                 p.wall_ns as f64 / 1e6,
                 p.reduce_ns as f64 / 1e6,
                 p.extract_ns as f64 / 1e6,
                 p.extract_wall_ns as f64 / 1e6,
-                p.hub_cache_ns as f64 / 1e6,
             );
             run.losses.push(loss);
             run.wall_ns += p.wall_ns;
@@ -339,7 +329,6 @@ fn run_replica_sweep(
             run.extract_ns += p.extract_ns;
             run.extract_wall_ns += p.extract_wall_ns;
             run.extract_wait_ns += p.extract_wait_ns;
-            run.hub_cache_ns += p.hub_cache_ns;
         }
         runs.push(run);
     }
@@ -383,7 +372,7 @@ fn run_replica_sweep(
                 concat!(
                     "{{\"r\": {}, \"wall_ns\": {}, \"reduce_ns\": {}, ",
                     "\"extract_ns\": {}, \"extract_wall_ns\": {}, ",
-                    "\"extract_wait_ns\": {}, \"hub_cache_ns\": {}, ",
+                    "\"extract_wait_ns\": {}, ",
                     "\"final_loss\": {:.6}, \"speedup_vs_r1\": {:.3}}}"
                 ),
                 run.r,
@@ -392,7 +381,6 @@ fn run_replica_sweep(
                 run.extract_ns,
                 run.extract_wall_ns,
                 run.extract_wait_ns,
-                run.hub_cache_ns,
                 run.losses.last().copied().unwrap_or(f32::NAN),
                 speedup(run),
             )
@@ -401,21 +389,21 @@ fn run_replica_sweep(
         .join(", ");
     let record = format!(
         concat!(
-            "{{\"facility\": \"{}\", \"profile\": \"{}\", \"seed\": {}, ",
+            "{{\"facility\": \"{}\", \"profile\": \"{}\", \"git_rev\": \"{}\", \"seed\": {}, ",
             "\"cores\": {}, \"n_entities\": {}, \"n_edges\": {}, ",
-            "\"epochs\": {}, \"macro_width\": {}, \"hub_entities\": {}, ",
+            "\"epochs\": {}, \"macro_width\": {}, ",
             "\"losses_bitwise_equal\": true, ",
             "\"runs\": [{}]}}"
         ),
         name,
         format!("{:?}", opts.profile).to_lowercase(),
+        rev,
         opts.seed,
         cores,
         exp.ckg.n_entities(),
         exp.ckg.n_edges(),
         epochs,
         MACRO_WIDTH,
-        hub_entities,
         run_fields,
     );
     merge_replica_records("BENCH_ckat_replicas.json", name, record);

@@ -187,8 +187,6 @@ impl HarnessOpts {
             transr_dim: d,
             margin: 1.0,
             batch_local: true,
-            hub_cache: true,
-            hub_percentile: 0.99,
             base,
         }
     }
@@ -277,6 +275,20 @@ fn scale(mut c: FacilityConfig, factor: usize) -> FacilityConfig {
     c.n_cities = (c.n_cities / factor).max(4);
     c.n_organizations = (c.n_organizations / factor).max(3);
     c
+}
+
+/// The git revision of the working directory, suffixed `-dirty` when
+/// tracked files differ from it, for the records the profiling binaries
+/// write; "unknown" outside a git checkout or without a `git` binary.
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .unwrap_or_else(|| "unknown".into())
 }
 
 #[cfg(test)]

@@ -46,8 +46,10 @@ pub const MAGIC: [u8; 4] = *b"FKCK";
 /// trainer checkpoint and pool accounting fields (`reduce_ns`,
 /// `wall_ns`, `replicas`) appended to each epoch profile; 4 — split
 /// extraction attribution (`extract_wall_ns`) and the hub-cache refresh
-/// time (`hub_cache_ns`) appended to each epoch profile.
-pub const FORMAT_VERSION: u8 = 5;
+/// time appended to each epoch profile; 5 — per-layer frontier rows
+/// (`frontier_rows`) appended to each epoch profile; 6 — the hub-cache
+/// refresh time dropped from each epoch profile (the cache was deleted).
+pub const FORMAT_VERSION: u8 = 6;
 
 const HEADER_LEN: usize = 4 + 1 + 4 + 8;
 

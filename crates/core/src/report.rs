@@ -77,13 +77,9 @@ pub fn run_summary_row(report: &facility_eval::TrainReport) -> String {
             forward += p.forward_ns;
             // The ledger's backward column predates the backward/optimizer
             // split and keeps meaning "everything after the forward pass";
-            // prefetch wait, critical-path extraction, and the hub-cache
-            // refresh ride along for the same reason.
-            backward += p.backward_ns
-                + p.optimizer_ns
-                + p.extract_wait_ns
-                + p.extract_wall_ns
-                + p.hub_cache_ns;
+            // prefetch wait and critical-path extraction ride along for the
+            // same reason.
+            backward += p.backward_ns + p.optimizer_ns + p.extract_wait_ns + p.extract_wall_ns;
             eval += p.eval_ns;
         }
     }

@@ -87,11 +87,9 @@ fn put_profile(w: &mut Writer, p: &EpochProfile) {
         p.reduce_ns,
         p.wall_ns,
         p.replicas,
-        // Format v4 appends the split extraction attribution and the
-        // hub-cache refresh time at the end of the record; v5 the
-        // per-layer frontier rows.
+        // Format v4 appended the split extraction attribution, v5 the
+        // per-layer frontier rows (version history at `FORMAT_VERSION`).
         p.extract_wall_ns,
-        p.hub_cache_ns,
         p.frontier_rows,
     ] {
         w.put_u64(v);
@@ -118,7 +116,6 @@ fn get_profile(r: &mut Reader<'_>) -> Result<EpochProfile, CkptError> {
         wall_ns: r.get_u64()?,
         replicas: r.get_u64()?,
         extract_wall_ns: r.get_u64()?,
-        hub_cache_ns: r.get_u64()?,
         frontier_rows: r.get_u64()?,
     })
 }
@@ -353,6 +350,35 @@ mod tests {
             bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
             let _ = TrainCheckpoint::from_bytes(&bad);
         }
+    }
+
+    /// A v5 checkpoint carried the hub-cache time between each profile's
+    /// `extract_wall_ns` and `frontier_rows`. Its file is refused by
+    /// version before the payload is read, and its bare payload fails to
+    /// decode with a structured error — neither panics.
+    #[test]
+    fn version_5_checkpoints_are_refused_with_a_structured_error() {
+        // `sample()`'s last log ends with a profile, right before the
+        // model state: splice a hub-cache time in before `frontier_rows`.
+        let v6 = sample().to_bytes().unwrap();
+        let mut state = Writer::new();
+        ModelState::default().encode(&mut state).unwrap();
+        let at = v6.len() - state.into_bytes().len() - 8;
+        let v5 = [&v6[..at], &5u64.to_le_bytes(), &v6[at..]].concat();
+
+        let mut file = facility_ckpt::MAGIC.to_vec();
+        file.push(5);
+        file.extend_from_slice(&facility_ckpt::crc32(&v5).to_le_bytes());
+        file.extend_from_slice(&(v5.len() as u64).to_le_bytes());
+        file.extend_from_slice(&v5);
+        let path = std::env::temp_dir().join(format!("facility-v5-{}.fkc", std::process::id()));
+        std::fs::write(&path, &file).unwrap();
+        let loaded = TrainCheckpoint::load(&path);
+        let _ = std::fs::remove_file(&path);
+        assert!(matches!(loaded, Err(CkptError::Version(5))), "v5 file not refused by version");
+
+        let decoded = TrainCheckpoint::from_bytes(&v5);
+        assert!(matches!(decoded, Err(CkptError::Format(_))), "v5 payload decoded");
     }
 
     #[test]

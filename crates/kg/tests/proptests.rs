@@ -177,14 +177,12 @@ fn kg_sampler_never_emits_facts_even_when_saturated() {
 }
 
 /// A world plus batch seed sets (raw ids, reduced modulo the entity
-/// count; duplicates included), a depth and optional hub-cut flags
-/// (`cut[g]` is bit `g % 64` of the mask).
+/// count; duplicates included) and a depth.
 #[derive(Debug, Clone)]
 struct FrontierCase {
     world: World,
     seed_sets: Vec<Vec<u32>>,
     depth: usize,
-    cut: Option<u64>,
 }
 
 fn frontier_case(rng: &mut Rng) -> FrontierCase {
@@ -198,13 +196,11 @@ fn frontier_case(rng: &mut Rng) -> FrontierCase {
         s
     });
     let depth = rng.gen_range(0..5);
-    let cut = rng.gen_bool(0.5).then(|| rng.next_u64() & rng.next_u64());
-    FrontierCase { world, seed_sets, depth, cut }
+    FrontierCase { world, seed_sets, depth }
 }
 
 /// The per-layer lists of one seed set as global ids, from plain
-/// hop distances: `depth` rounds of relaxation over every edge, where a
-/// cut entity relaxes its out-edges only when it is a seed.
+/// hop distances: `depth` rounds of relaxation over every edge.
 /// Returns the closure and, per layer, `(rows, edges as (head, edge id,
 /// tail))`.
 #[allow(clippy::type_complexity)]
@@ -212,9 +208,7 @@ fn brute_force_levels(
     ckg: &facility_kg::Ckg,
     seeds: &[usize],
     depth: usize,
-    cut: &dyn Fn(usize) -> bool,
 ) -> (Vec<usize>, Vec<(Vec<usize>, Vec<(usize, usize, usize)>)>) {
-    let expands = |g: usize| !cut(g) || seeds.contains(&g);
     let mut dist = vec![usize::MAX; ckg.n_entities()];
     for &s in seeds {
         dist[s] = 0;
@@ -223,7 +217,7 @@ fn brute_force_levels(
         let before = dist.clone();
         for e in 0..ckg.n_edges() {
             let (h, t) = (ckg.heads[e] as usize, ckg.tails[e] as usize);
-            if before[h] != usize::MAX && expands(h) {
+            if before[h] != usize::MAX {
                 dist[t] = dist[t].min(before[h] + 1);
             }
         }
@@ -234,7 +228,6 @@ fn brute_force_levels(
             let rows = within(depth - l);
             let edges = rows
                 .iter()
-                .filter(|&&g| expands(g))
                 .flat_map(|&g| (ckg.offsets[g]..ckg.offsets[g + 1]).map(move |e| (g, e)))
                 .map(|(g, e)| (g, e, ckg.tails[e] as usize))
                 .collect();
@@ -252,9 +245,8 @@ fn assert_matches_brute_force(
     sub: &facility_kg::BatchSubgraph,
     seeds: &[usize],
     depth: usize,
-    cut: &dyn Fn(usize) -> bool,
 ) {
-    let (closure, layers) = brute_force_levels(ckg, seeds, depth, cut);
+    let (closure, layers) = brute_force_levels(ckg, seeds, depth);
     assert_eq!(sub.nodes, closure, "closure");
     assert_eq!(sub.layers.len(), depth, "one list set per layer");
     for (&sl, &s) in sub.seed_locals.iter().zip(seeds) {
@@ -283,18 +275,15 @@ fn frontier_levels_match_brute_force_hop_distances() {
         let n = ckg.n_entities();
         let sets: Vec<Vec<usize>> =
             case.seed_sets.iter().map(|s| s.iter().map(|&g| g as usize % n).collect()).collect();
-        let cut_flags: Option<Vec<bool>> =
-            case.cut.map(|m| (0..n).map(|g| m >> (g % 64) & 1 == 1).collect());
-        let is_cut = |g: usize| cut_flags.as_ref().is_some_and(|c| c[g]);
         let mut scratch = SubgraphScratch::new(n);
         for seeds in &sets {
             let sub = scratch.extract(&ckg, seeds, case.depth);
-            assert_matches_brute_force(&ckg, &sub, seeds, case.depth, &|_| false);
+            assert_matches_brute_force(&ckg, &sub, seeds, case.depth);
         }
-        let union = scratch.extract_many(&ckg, &sets, case.depth, cut_flags.as_deref());
+        let union = scratch.extract_many(&ckg, &sets, case.depth);
         for (seeds, sub) in sets.iter().zip(&union.subgraphs) {
-            assert_matches_brute_force(&ckg, sub, seeds, case.depth, &is_cut);
-            sub.validate(&ckg, cut_flags.as_deref());
+            assert_matches_brute_force(&ckg, sub, seeds, case.depth);
+            sub.validate(&ckg);
         }
     });
 }

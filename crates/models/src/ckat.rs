@@ -58,47 +58,35 @@
 //!
 //! Because the subgraph preserves the global CSR accumulation order
 //! (head rows sorted by global id, full edge slices copied verbatim), the
-//! seed gathers sit where the full-graph pass concatenates each layer, and
+//! seed gathers sit where a whole-graph pass concatenates each layer, and
 //! lazy Adam's catch-up replays the exact per-step update recurrence, the
 //! batch-local path is **bitwise identical** to full-graph propagation
 //! with dense Adam. That holds under dropout too: each micro-batch draws
 //! one key, and [`Tape::dropout_keyed`] derives the mask of element
 //! `(layer, entity, column)` from it, so a row's mask does not depend on
-//! which rows share the tape. Full-graph propagation remains the
-//! evaluation path and the differential-test oracle
-//! (`tests/batch_local_diff.rs`).
+//! which rows share the tape.
 //!
-//! ## Replica mode: shared macro-step extraction + hub-representation cache
+//! There is one propagation path for training. `batch_local: false` runs
+//! the same loop with every entity as the seed set of every micro-batch,
+//! so the full-graph oracle differs from the fast path only in its input
+//! (`tests/batch_local_diff.rs`). The stacked whole-graph pass survives
+//! only as a test oracle (`propagate_over` in this module's tests);
+//! evaluation runs the same ops layer by layer, forward only
+//! ([`Ckat::entity_representations`]).
+//!
+//! ## Replica mode: shared macro-step extraction
 //!
 //! Replica training (`base.replicas ≥ 1`, see `crate::replica`) batches
 //! [`MACRO_WIDTH`] micro-batches per optimizer step, and their receptive
 //! fields overlap heavily — each re-walks the same high-degree
-//! neighborhoods. Two structures remove that redundancy without changing
-//! the schedule:
+//! neighborhoods. One [`SubgraphScratch::extract_many`] BFS extracts the
+//! union receptive field of all seed sets per macro-step; each batch's
+//! [`BatchSubgraph`] is then derived by local-id remap, and is
+//! bitwise-identical to what an independent extraction would build
+//! (proven in `tests/batch_local_diff.rs`). Aggregate extraction CPU
+//! stops scaling with the replica count, and whole runs stay
+//! bitwise-identical across replica counts (`tests/replica_diff.rs`).
 //!
-//! * **Union extraction** — one [`SubgraphScratch::extract_many`] BFS
-//!   extracts the union receptive field of all seed sets per macro-step;
-//!   each batch's [`BatchSubgraph`] is then derived by local-id remap, and
-//!   is bitwise-identical to what an independent extraction would build
-//!   (proven in `tests/batch_local_diff.rs`). Aggregate extraction CPU
-//!   stops scaling with the replica count.
-//! * **Hub-representation cache** ([`CkatConfig::hub_cache`]) — entities
-//!   above the [`CkatConfig::hub_percentile`] out-degree threshold get
-//!   their per-layer outputs computed once per macro-step by a full-graph
-//!   forward against the frozen snapshot ([`HubReps`], invalidated by the
-//!   `param_version`/`att_epoch` stamps). Inside each batch tape the hub
-//!   heads of every layer are replaced with those cached values after the
-//!   layer's normalization ([`Tape::override_rows`] on that layer's own
-//!   rows — a stop-gradient: hubs keep learning through the layer-0
-//!   gather and TransR), and the union BFS treats hubs as *cut* nodes
-//!   whose neighborhoods are never extracted.
-//!   Cached hub values equal the values their full neighborhoods would
-//!   produce, so the first macro-step is bitwise-identical to the
-//!   uncached path, and whole runs stay bitwise-identical across replica
-//!   counts. The uncached path (`hub_cache: false`) remains the
-//!   eval/test oracle.
-//!
-//! [`Tape::override_rows`]: facility_autograd::Tape::override_rows
 //! [`Tape::dropout_keyed`]: facility_autograd::Tape::dropout_keyed
 
 use crate::common::{bpr_loss, dedup_seeds, dot_scores, union_locals, ModelConfig, TrainContext};
@@ -140,24 +128,12 @@ pub struct CkatConfig {
     pub transr_dim: usize,
     /// TransR margin `γ`.
     pub margin: f32,
-    /// Propagate each layer over its own frontier of the batch's L-hop
-    /// receptive field instead of the full CKG during training (bitwise
-    /// identical; see module docs).
+    /// Extract each mini-batch's own L-hop receptive field (the default).
+    /// `false` seeds every micro-batch with every entity instead, so each
+    /// layer computes every row: the full-graph oracle, bitwise identical
+    /// and much slower (see module docs). Replica mode ignores it and
+    /// always extracts each micro-batch's own field.
     pub batch_local: bool,
-    /// Replica mode only: compute the layer-stack outputs of hub entities
-    /// (degree above [`CkatConfig::hub_percentile`]) once per macro-step
-    /// against the frozen snapshot and reuse them across the macro-step's
-    /// micro-batches. Hubs stop participating in BFS expansion (their
-    /// closure-exploding neighborhoods are never re-extracted) and their
-    /// deep-layer values become stop-gradient constants inside each batch
-    /// tape; they keep learning through the layer-0 embedding gather and
-    /// the TransR objective. The uncached path remains the eval/test
-    /// oracle.
-    pub hub_cache: bool,
-    /// Out-degree percentile above which an entity counts as a hub
-    /// (strictly above the percentile value). `>= 1.0` marks no hubs,
-    /// which disables the cache regardless of [`CkatConfig::hub_cache`].
-    pub hub_percentile: f32,
 }
 
 impl From<&ModelConfig> for CkatConfig {
@@ -171,8 +147,6 @@ impl From<&ModelConfig> for CkatConfig {
             transr_dim: d,
             margin: 1.0,
             batch_local: true,
-            hub_cache: true,
-            hub_percentile: 0.99,
         }
     }
 }
@@ -216,78 +190,9 @@ pub struct Ckat {
     /// Reusable arena for per-batch and macro-step receptive-field
     /// extraction (always on the thread that owns `&mut self`).
     scratch: SubgraphScratch,
-    /// `hub_flags[g]` — entity `g`'s out-degree is strictly above the
-    /// [`CkatConfig::hub_percentile`] degree threshold. Empty when the hub
-    /// cache is off.
-    hub_flags: Vec<bool>,
-    /// The hub entity ids, strictly increasing (the row order of
-    /// [`HubReps::layers`]).
-    hub_ids: Arc<Vec<usize>>,
-    /// Per-macro-step cache of the hubs' layer-stack outputs; stamped with
-    /// the parameter/attention versions it was computed against.
-    hub_cache: Option<HubReps>,
-    /// Bumped after every optimizer apply; invalidates [`Ckat::hub_cache`].
-    param_version: u64,
-    /// Bumped by [`Ckat::refresh_attention`]; invalidates
-    /// [`Ckat::hub_cache`].
-    att_epoch: u64,
     /// Instrumentation from the most recent epoch, consumed by
     /// [`Recommender::take_epoch_profile`].
     last_profile: Option<EpochProfile>,
-}
-
-/// Layer-stack outputs of every hub entity, computed once per macro-step
-/// by a full-graph forward pass against the frozen parameter snapshot.
-///
-/// `layers[l]` is `hub_ids.len() × layer_dims[l]`: row `i` holds the
-/// *normalized* layer-`l` output of `hub_ids[i]` — exactly the rows a
-/// batch-local pass would compute for those entities, because per-row ops
-/// (matmul, bias, LeakyReLU, row normalization) and the verbatim-copied
-/// CSR edge slices make layer outputs independent of which other rows
-/// share the subgraph.
-struct HubReps {
-    /// [`Ckat::param_version`] this cache was computed against.
-    param_version: u64,
-    /// [`Ckat::att_epoch`] this cache was computed against.
-    att_epoch: u64,
-    layers: Vec<Matrix>,
-}
-
-/// Per-batch view of the hub cache: per propagation layer, the hub heads
-/// of that layer's rows in one batch subgraph, as positions in those rows,
-/// with their cached values ready for [`Tape::override_rows`].
-struct HubOverride {
-    /// `locals[l]`: positions of the hub heads in layer `l + 1`'s rows,
-    /// strictly increasing (the rows are sorted by global id).
-    locals: Vec<Arc<Vec<usize>>>,
-    /// `layers[l]`: `locals[l].len() × layer_dims[l]` cached values.
-    layers: Vec<Matrix>,
-}
-
-/// Mark every entity whose out-degree is strictly above the
-/// `hub_percentile` quantile of the degree distribution. Returns
-/// `(flags, ids)` with `ids` strictly increasing; both empty when the hub
-/// cache is off or the percentile admits no hubs.
-fn select_hubs(ckg: &Ckg, config: &CkatConfig) -> (Vec<bool>, Vec<usize>) {
-    let n = ckg.n_entities();
-    // `>= 1.0` disables via the percentile; NaN disables too (a NaN
-    // percentile is nonsense, so fail toward the exact uncached path).
-    let enabled = config.hub_cache && config.hub_percentile < 1.0;
-    if !enabled || n == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let degrees: Vec<usize> = (0..n).map(|g| ckg.offsets[g + 1] - ckg.offsets[g]).collect();
-    let mut sorted = degrees.clone();
-    sorted.sort_unstable();
-    let q = (f64::from(config.hub_percentile.max(0.0)) * (n - 1) as f64).floor() as usize;
-    let threshold = sorted[q.min(n - 1)];
-    let flags: Vec<bool> = degrees.iter().map(|&d| d > threshold).collect();
-    let ids: Vec<usize> = (0..n).filter(|&g| flags[g]).collect();
-    if ids.is_empty() {
-        (Vec::new(), Vec::new())
-    } else {
-        (flags, ids)
-    }
 }
 
 impl Ckat {
@@ -320,7 +225,6 @@ impl Ckat {
         let heads: Arc<Vec<usize>> = Arc::new(ctx.ckg.heads.iter().map(|&h| h as usize).collect());
         let item_entities: Vec<usize> =
             (0..ctx.inter.n_items).map(|i| ctx.ckg.item_entity(i as Id)).collect();
-        let (hub_flags, hub_ids) = select_hubs(ctx.ckg, config);
         Self {
             store,
             adam,
@@ -341,11 +245,6 @@ impl Ckat {
             cached_users: None,
             cached_items: None,
             scratch: SubgraphScratch::new(n_ent),
-            hub_flags,
-            hub_ids: Arc::new(hub_ids),
-            hub_cache: None,
-            param_version: 0,
-            att_epoch: 0,
             last_profile: None,
         }
     }
@@ -423,35 +322,6 @@ impl Ckat {
             transr::uniform_scores(ctx.ckg)
         };
         self.att_fresh = true;
-        // Any hub representations cached against the previous attention
-        // snapshot are stale from here on.
-        self.att_epoch += 1;
-    }
-
-    /// Build the full propagation stack on `t` and return the final
-    /// concatenated representation of every entity (Eqs. 3, 6–10).
-    fn propagate(
-        &self,
-        t: &mut Tape,
-        ent: Var,
-        layer_w: &[Var],
-        layer_b: &[Var],
-        dropout_key: Option<u64>,
-    ) -> Var {
-        assert!(!self.att.is_empty(), "attention not refreshed");
-        let att = t.constant(Matrix::from_vec(self.att.len(), 1, self.att.clone()));
-        propagate_over(
-            &self.config,
-            t,
-            ent,
-            att,
-            Arc::clone(&self.tails),
-            Arc::clone(&self.heads),
-            self.n_entities,
-            layer_w,
-            layer_b,
-            dropout_key,
-        )
     }
 
     /// Forward-only final representations of **all** entities (users,
@@ -469,12 +339,6 @@ impl Ckat {
         &self.att
     }
 
-    /// Number of entities the hub-representation cache tracks (0 when
-    /// [`CkatConfig::hub_cache`] is off or the percentile admits none).
-    pub fn hub_count(&self) -> usize {
-        self.hub_ids.len()
-    }
-
     /// Clones of the per-layer aggregation weights and biases (`W_l`,
     /// `b_l`), for inspection and differential testing.
     pub fn layer_parameters(&self) -> (Vec<Matrix>, Vec<Matrix>) {
@@ -490,7 +354,8 @@ impl Ckat {
         // Forward only: each layer runs on a tape of its own, dropped
         // before the next layer starts, so the pass holds one layer's
         // intermediates instead of the whole stack's. The ops and their
-        // inputs are those of `propagate`, so the bits are too.
+        // inputs are those of the stacked whole-graph pass (the test
+        // oracle `propagate_over`), so the bits are too.
         let mut h = self.store.value(self.ent_emb).clone();
         let width = h.cols() + self.config.layer_dims.iter().sum::<usize>();
         let mut all = Matrix::zeros(h.rows(), width);
@@ -517,107 +382,8 @@ impl Ckat {
         all
     }
 
-    /// Full-graph training arm: dense leaves, dense gradients, dense Adam
-    /// steps. Deliberately untouched by the sparse/lazy machinery — it is
-    /// the differential oracle the batch-local path is tested against.
-    fn run_batches_full(
-        &mut self,
-        ctx: &TrainContext<'_>,
-        batches: &[(Vec<BprSample>, Vec<KgSample>)],
-        rng: &mut Rng,
-        prof: &mut EpochProfile,
-    ) -> f32 {
-        let d = self.config.base.embed_dim;
-        let full_edges = ctx.ckg.n_edges() as u64;
-        let mut total = 0.0;
-        // One tape per phase for the epoch, reset per micro-batch, so each
-        // step reuses the previous step's buffers.
-        let (mut t, mut kt) = (Tape::new(), Tape::new());
-        for (batch, kg_batch) in batches {
-            prof.batches += 1;
-            prof.full_rows += self.n_entities as u64;
-            prof.full_edges += full_edges;
-            prof.gathered_rows += self.n_entities as u64;
-            prof.gathered_edges += full_edges;
-            prof.frontier_rows += (self.n_entities * self.config.depth()) as u64;
-            prof.forward_flops +=
-                propagation_flops(&self.config, self.n_entities as u64, full_edges);
-            let key = dropout_key(&self.config, rng);
-            let users: Vec<usize> = batch.iter().map(|s| s.user as usize).collect();
-            let pos: Vec<usize> = batch.iter().map(|s| ctx.ckg.item_entity(s.pos)).collect();
-            let neg: Vec<usize> = batch.iter().map(|s| ctx.ckg.item_entity(s.neg)).collect();
-
-            let clock = Instant::now();
-            t.reset();
-            let ent = t.leaf(self.store.value(self.ent_emb).clone());
-            let lw: Vec<Var> =
-                self.layer_w.iter().map(|&p| t.leaf(self.store.value(p).clone())).collect();
-            let lb: Vec<Var> =
-                self.layer_b.iter().map(|&p| t.leaf(self.store.value(p).clone())).collect();
-            let all = self.propagate(&mut t, ent, &lw, &lb, key);
-            let u = t.gather_rows(all, &users);
-            let i = t.gather_rows(all, &pos);
-            let j = t.gather_rows(all, &neg);
-            let loss = bpr_loss(&mut t, u, i, j, batch.len(), self.config.base.l2);
-            total += t.value(loss)[(0, 0)];
-            prof.forward_ns += clock.elapsed().as_nanos() as u64;
-            let clock = Instant::now();
-            t.backward(loss);
-            let mut grads: Vec<(ParamId, Grad)> = Vec::new();
-            if let Some(g) = t.take_grad(ent) {
-                grads.push((self.ent_emb, Grad::Dense(g)));
-            }
-            for (&p, &var) in self.layer_w.iter().zip(&lw) {
-                if let Some(g) = t.take_grad(var) {
-                    grads.push((p, Grad::Dense(g)));
-                }
-            }
-            for (&p, &var) in self.layer_b.iter().zip(&lb) {
-                if let Some(g) = t.take_grad(var) {
-                    grads.push((p, Grad::Dense(g)));
-                }
-            }
-            prof.backward_ns += clock.elapsed().as_nanos() as u64;
-            let clock = Instant::now();
-            self.store.apply(&mut self.adam, &grads);
-            prof.optimizer_ns += clock.elapsed().as_nanos() as u64;
-
-            // --- TransR phase (L₁, Eq. 2) ---
-            if !kg_batch.is_empty() {
-                let clock = Instant::now();
-                kt.reset();
-                let ent = kt.leaf(self.store.value(self.ent_emb).clone());
-                let remb = kt.leaf(self.store.value(self.rel_emb).clone());
-                let rproj = kt.leaf(self.store.value(self.rel_proj).clone());
-                let loss = transr::margin_loss(
-                    &mut kt,
-                    ent,
-                    remb,
-                    rproj,
-                    d,
-                    self.n_rel,
-                    kg_batch,
-                    self.config.margin,
-                );
-                total += kt.value(loss)[(0, 0)];
-                prof.forward_ns += clock.elapsed().as_nanos() as u64;
-                let clock = Instant::now();
-                kt.backward(loss);
-                let grads: Vec<(ParamId, Grad)> =
-                    [(self.ent_emb, ent), (self.rel_emb, remb), (self.rel_proj, rproj)]
-                        .into_iter()
-                        .filter_map(|(p, var)| kt.take_grad(var).map(|g| (p, Grad::Dense(g))))
-                        .collect();
-                prof.backward_ns += clock.elapsed().as_nanos() as u64;
-                let clock = Instant::now();
-                self.store.apply(&mut self.adam, &grads);
-                prof.optimizer_ns += clock.elapsed().as_nanos() as u64;
-            }
-        }
-        total
-    }
-
-    /// Batch-local training arm — the sparse/lazy fast path:
+    /// The per-batch training loop, batch-local or full-graph by its seed
+    /// sets ([`batch_seeds`]):
     ///
     /// * a scoped worker thread extracts batch `b+1`'s receptive field
     ///   while the main thread trains batch `b` (double buffering over a
@@ -628,8 +394,9 @@ impl Ckat {
     ///   gradient that lazy Adam steps only those rows with,
     /// * [`ParamStore::sync_rows`] catches every row up before a tape
     ///   snapshots it, and [`ParamStore::sync_all`] squares the whole
-    ///   matrix off at epoch end — keeping the result bitwise identical
-    ///   to [`Ckat::run_batches_full`], dropout included.
+    ///   matrix off at epoch end — so batch-local seeds reproduce the
+    ///   every-entity seeds of the full-graph oracle bit for bit, dropout
+    ///   included.
     fn run_batches_local(
         &mut self,
         ctx: &TrainContext<'_>,
@@ -660,22 +427,8 @@ impl Ckat {
         let ckg = ctx.ckg;
         let full_edges = ckg.n_edges() as u64;
 
-        // Seed sets for the extraction worker: users ++ pos ++ neg,
-        // deduplicated so BFS never re-walks a repeated user/item (batches
-        // routinely repeat both). `pos_map` recovers the positional
-        // thirds-layout on the training side: position `p`'s seed local is
-        // `seed_locals[pos_map[p]]`. Dedup is bitwise-safe — extraction
-        // discovers seeds in first-occurrence order either way.
-        let (seed_sets, pos_maps): (Vec<Vec<usize>>, Vec<Vec<usize>>) = batches
-            .iter()
-            .map(|(bpr, _)| {
-                let mut s = Vec::with_capacity(3 * bpr.len());
-                s.extend(bpr.iter().map(|x| x.user as usize));
-                s.extend(bpr.iter().map(|x| ckg.item_entity(x.pos)));
-                s.extend(bpr.iter().map(|x| ckg.item_entity(x.neg)));
-                dedup_seeds(&s)
-            })
-            .unzip();
+        let bprs = batches.iter().map(|(bpr, _)| bpr.as_slice());
+        let (seed_sets, pos_maps) = batch_seeds(ckg, bprs, !config.batch_local);
 
         let mut total = 0.0;
         // One tape per phase for the epoch, reset per micro-batch.
@@ -701,7 +454,9 @@ impl Ckat {
                 back_tx.send(bufs).expect("the receiver is alive");
             }
             sc.spawn(move || {
-                for seeds in seed_sets {
+                // One seed set per batch, or the one every-entity set for
+                // every batch.
+                for seeds in seed_sets.iter().cycle().take(batches.len()) {
                     let Ok((mut sub, mut att_vals)) = back_rx.recv() else {
                         return; // trainer bailed out early
                     };
@@ -752,7 +507,6 @@ impl Ckat {
                     pos_map,
                     b,
                     key,
-                    None,
                 );
                 total += step.loss;
                 prof.forward_ns += step.forward_ns;
@@ -827,10 +581,7 @@ impl Ckat {
     ///   high-degree neighborhoods are walked once per macro-step instead
     ///   of once per replica.
     /// * main: settle lazy Adam ([`ParamStore::sync_rows`] over the
-    ///   union, or [`ParamStore::sync_all`] when the hub cache runs) and,
-    ///   with the hub cache on, refresh [`HubReps`] if parameters or
-    ///   attention moved, then slice each batch's [`HubOverride`] out of
-    ///   it.
+    ///   union plus the TransR rows).
     /// * **Train** (parallel): per batch, build the BPR and TransR tapes
     ///   against the frozen snapshot and return their gradients.
     /// * main: fold gradients in batch order, scale by `1/K`, apply.
@@ -862,15 +613,8 @@ impl Ckat {
             config,
             n_entities,
             n_rel,
-            tails,
-            heads,
             att,
             scratch,
-            hub_flags,
-            hub_ids,
-            hub_cache,
-            param_version,
-            att_epoch,
             ..
         } = self;
         let (ent_emb, rel_emb, rel_proj) = (*ent_emb, *rel_emb, *rel_proj);
@@ -882,7 +626,6 @@ impl Ckat {
         let ckg = ctx.ckg;
         let inter = ctx.inter;
         let full_edges = ckg.n_edges() as u64;
-        let use_cache = config.hub_cache && !hub_ids.is_empty();
 
         let mut total = 0.0;
         // Each worker state holds its own BPR and TransR tape for the
@@ -909,21 +652,12 @@ impl Ckat {
                 continue;
             }
 
-            // --- Union extraction: one cut-BFS serves all K batches ---
+            // --- Union extraction: one BFS serves all K batches ---
             let clock = Instant::now();
-            let (seed_sets, pos_maps): (Vec<Vec<usize>>, Vec<Vec<usize>>) = sampled
-                .iter()
-                .map(|(bpr, _, _)| {
-                    let mut s = Vec::with_capacity(3 * bpr.len());
-                    s.extend(bpr.iter().map(|x| x.user as usize));
-                    s.extend(bpr.iter().map(|x| ckg.item_entity(x.pos)));
-                    s.extend(bpr.iter().map(|x| ckg.item_entity(x.neg)));
-                    dedup_seeds(&s)
-                })
-                .unzip();
-            let cut = if use_cache { Some(hub_flags.as_slice()) } else { None };
-            let union = scratch.extract_many(ckg, &seed_sets, depth, cut);
-            let union_nodes = union.union_nodes;
+            let bprs = sampled.iter().map(|(bpr, _, _)| bpr.as_slice());
+            let (seed_sets, pos_maps) = batch_seeds(ckg, bprs, false);
+            let union = scratch.extract_many(ckg, &seed_sets, depth);
+            let mut need = union.union_nodes;
             let extract_ns = clock.elapsed().as_nanos() as u64;
             prof.extract_ns += extract_ns;
             prof.extract_wall_ns += extract_ns;
@@ -931,7 +665,6 @@ impl Ckat {
             // Assemble one PreparedBatch per micro-batch: remap the
             // TransR ids, snapshot the per-edge attention, and account
             // the derived subgraph's size.
-            let mut need: Vec<usize> = Vec::new();
             let mut prepared: Vec<PreparedBatch> = Vec::with_capacity(k);
             for (((bpr, kg, rng), sub), pos_map) in
                 sampled.into_iter().zip(union.subgraphs).zip(pos_maps)
@@ -943,9 +676,7 @@ impl Ckat {
                 let att_vals = layer_attention(&sub, att);
                 let (kg_union, local_kg) =
                     if kg.is_empty() { (Vec::new(), Vec::new()) } else { kg_locals(&kg) };
-                if !use_cache {
-                    need.extend_from_slice(&kg_union);
-                }
+                need.extend_from_slice(&kg_union);
                 prepared.push(PreparedBatch {
                     b: bpr.len(),
                     local_kg,
@@ -953,51 +684,18 @@ impl Ckat {
                     sub,
                     pos_map,
                     att_vals,
-                    hub: None,
                     rng,
                 });
             }
 
-            if use_cache {
-                // --- Hub cache: the full-graph pass snapshots every row,
-                // so settle lazy Adam globally, refresh if the stamps
-                // moved, then slice each batch's override out of it ---
-                let clock = Instant::now();
-                store.sync_all(adam, ent_emb);
-                let stale = hub_cache
-                    .as_ref()
-                    .is_none_or(|c| c.param_version != *param_version || c.att_epoch != *att_epoch);
-                if stale {
-                    let layers = compute_hub_reps(
-                        config, store, ent_emb, layer_w, layer_b, att, tails, heads, n_entities,
-                        hub_ids,
-                    );
-                    *hub_cache = Some(HubReps {
-                        param_version: *param_version,
-                        att_epoch: *att_epoch,
-                        layers,
-                    });
-                    prof.gathered_rows += n_entities as u64;
-                    prof.gathered_edges += full_edges;
-                    prof.frontier_rows += (n_entities * depth) as u64;
-                    prof.forward_flops += propagation_flops(config, n_entities as u64, full_edges);
-                }
-                let reps = hub_cache.as_ref().expect("hub cache refreshed above");
-                for p in &mut prepared {
-                    p.hub = build_hub_override(&p.sub, hub_flags, hub_ids, reps);
-                }
-                prof.hub_cache_ns += clock.elapsed().as_nanos() as u64;
-            } else {
-                // Lazy Adam must settle every row the macro-step reads
-                // before workers snapshot them: the union nodes (a
-                // superset of every derived subgraph) plus TransR unions.
-                need.extend_from_slice(&union_nodes);
-                need.sort_unstable();
-                need.dedup();
-                let clock = Instant::now();
-                store.sync_rows(adam, ent_emb, &need);
-                prof.optimizer_ns += clock.elapsed().as_nanos() as u64;
-            }
+            // Lazy Adam must settle every row the macro-step reads before
+            // workers snapshot them: the union nodes (a superset of every
+            // derived subgraph) plus the TransR unions.
+            need.sort_unstable();
+            need.dedup();
+            let clock = Instant::now();
+            store.sync_rows(adam, ent_emb, &need);
+            prof.optimizer_ns += clock.elapsed().as_nanos() as u64;
 
             // --- Train phase: frozen snapshot, each worker's tape pair ---
             let frozen: &ParamStore = store;
@@ -1014,7 +712,6 @@ impl Ckat {
                         &p.pos_map,
                         p.b,
                         key,
-                        p.hub.as_ref(),
                     );
                     // TransR tape against the *same* frozen snapshot.
                     let kg = (!p.local_kg.is_empty()).then(|| {
@@ -1056,9 +753,6 @@ impl Ckat {
                 store.apply(adam, &folded_kg);
             }
             prof.optimizer_ns += clock.elapsed().as_nanos() as u64;
-            // Parameters moved: the next macro-step must recompute the
-            // hub representations.
-            *param_version += 1;
         }
         let clock = Instant::now();
         store.sync_all(adam, ent_emb);
@@ -1068,8 +762,8 @@ impl Ckat {
 }
 
 /// One micro-batch after the main-thread shared work: samples drawn,
-/// subgraph derived from the macro-step union, TransR ids remapped, hub
-/// override sliced — everything the train phase needs except the frozen
+/// subgraph derived from the macro-step union, TransR ids remapped —
+/// everything the train phase needs except the frozen
 /// parameter snapshot. Carries the batch's private RNG (post-sampling
 /// state) forward for the dropout key.
 struct PreparedBatch {
@@ -1085,9 +779,6 @@ struct PreparedBatch {
     pos_map: Vec<usize>,
     /// Per-layer attention values, parallel to each layer's edges.
     att_vals: Vec<Vec<f32>>,
-    /// Hub heads of `sub`'s layers with their cached layer values; `None`
-    /// when the hub cache is off or no hub is a head of this subgraph.
-    hub: Option<HubOverride>,
     rng: Rng,
 }
 
@@ -1133,7 +824,6 @@ fn bpr_step(
     pos_map: &[usize],
     b: usize,
     dropout_key: Option<u64>,
-    hub: Option<&HubOverride>,
 ) -> (StepOut, Lent) {
     t.reset();
     let clock = Instant::now();
@@ -1141,18 +831,7 @@ fn bpr_step(
     let lb: Vec<Var> = layer_b.iter().map(|&p| t.leaf(store.value(p).clone())).collect();
     let lent = Lent::take(sub);
     let ent_sub = t.gather_leaf(store.value(ent_emb), Arc::clone(&lent.nodes));
-    let seeds = propagate_frontier(
-        config,
-        t,
-        ent_sub,
-        sub,
-        &lent,
-        att_vals,
-        &lw,
-        &lb,
-        dropout_key,
-        hub,
-    );
+    let seeds = propagate_frontier(config, t, ent_sub, sub, &lent, att_vals, &lw, &lb, dropout_key);
     let u = t.gather_rows(seeds, &pos_map[..b]);
     let i = t.gather_rows(seeds, &pos_map[b..2 * b]);
     let j = t.gather_rows(seeds, &pos_map[2 * b..3 * b]);
@@ -1272,60 +951,50 @@ fn kg_locals(kg: &[KgSample]) -> (Vec<usize>, Vec<KgSample>) {
     (union, local_kg)
 }
 
-/// The propagation stack over a whole CSR edge view: `h0` holds one
-/// embedding row per node, `tails`/`heads` are gather indices and segment
-/// ids into those rows, and `att` is the matching `(E, 1)` per-edge
-/// weight column; every layer computes every row, and the result is the
-/// layer-concatenated representation of every node (Eq. 10). Used with
-/// the full CKG by [`Ckat::propagate`] (the full-graph training arm, the
-/// eval path) and by [`compute_hub_reps`]. A row's dropout mask is keyed
-/// by its node id, so training rows match [`propagate_frontier`]'s bit
-/// for bit.
-#[allow(clippy::too_many_arguments)]
-fn propagate_over(
-    config: &CkatConfig,
-    t: &mut Tape,
-    h0: Var,
-    att: Var,
-    tails: Arc<Vec<usize>>,
-    heads: Arc<Vec<usize>>,
-    n_segments: usize,
-    layer_w: &[Var],
-    layer_b: &[Var],
-    dropout_key: Option<u64>,
-) -> Var {
-    let ids: Vec<usize> =
-        if dropout_key.is_some() { (0..n_segments).collect() } else { Vec::new() };
-    let mut h = h0;
-    let mut all = h0;
-    for l in 0..config.layer_dims.len() {
-        // One fused tape op replaces gather → scale → segment-sum: no
-        // `E × cols` intermediates hit memory, and the fusion is
-        // bit-transparent (same products, same add order), so every
-        // cross-mode equality the unfused chain satisfied still holds.
-        let e_n =
-            t.gather_scale_segment_sum(h, att, Arc::clone(&tails), Arc::clone(&heads), n_segments);
-        h = layer_head(config, t, l, h, e_n, (layer_w[l], layer_b[l]), dropout_key, &ids);
-        all = t.concat_cols(all, h);
+/// Each micro-batch's extraction seeds and position map. Batch-local:
+/// per batch, users ‖ positives ‖ negatives as entity ids, deduplicated so
+/// BFS never re-walks a repeated user or item, with `pos_map[p]` the seed
+/// of position `p` (dedup is bitwise-safe: extraction discovers seeds in
+/// first-occurrence order either way). `full_graph`: one seed set, every
+/// entity in id order, shared by every batch, so seed `g` is entity `g`
+/// and each position map is the raw entity ids.
+fn batch_seeds<'a>(
+    ckg: &Ckg,
+    batches: impl Iterator<Item = &'a [BprSample]>,
+    full_graph: bool,
+) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+    let mut seed_sets: Vec<Vec<usize>> = Vec::new();
+    if full_graph {
+        seed_sets.push((0..ckg.n_entities()).collect());
     }
-    all
+    let pos_maps = batches
+        .map(|bpr| {
+            let mut s = Vec::with_capacity(3 * bpr.len());
+            s.extend(bpr.iter().map(|x| x.user as usize));
+            s.extend(bpr.iter().map(|x| ckg.item_entity(x.pos)));
+            s.extend(bpr.iter().map(|x| ckg.item_entity(x.neg)));
+            if full_graph {
+                return s;
+            }
+            let (seeds, pos_map) = dedup_seeds(&s);
+            seed_sets.push(seeds);
+            pos_map
+        })
+        .collect();
+    (seed_sets, pos_maps)
 }
 
 /// The propagation stack over a batch subgraph's per-layer lists
 /// ([`facility_kg::LayerFrontier`]): layer `l` aggregates its heads'
 /// edges (`att_vals[l]` per edge) and computes only its head rows from the
 /// previous layer's rows, and the seed rows of each layer's output are
-/// gathered onto the running seed block right after that layer — where
-/// [`propagate_over`] concatenates the layer onto every row — so the
+/// gathered onto the running seed block right after that layer — where a
+/// whole-graph pass concatenates the layer onto every row — so the
 /// backward folds into each layer's gradient in the same order. Returns
 /// the seed block, `seeds × final_dim` with row `k` the final
 /// representation of seed `k` (`seed_locals` order), equal bit for bit
-/// to [`propagate_over`]'s rows at those seeds.
-///
-/// With `hub`, each layer's hub heads are replaced by their cached
-/// full-graph values after normalization (a stop-gradient), so the next
-/// layer aggregates the values the hubs' un-extracted neighborhoods would
-/// have produced.
+/// to the whole-graph pass's rows at those seeds (the test oracle
+/// `propagate_over`).
 #[allow(clippy::too_many_arguments)]
 fn propagate_frontier(
     config: &CkatConfig,
@@ -1337,7 +1006,6 @@ fn propagate_frontier(
     layer_w: &[Var],
     layer_b: &[Var],
     dropout_key: Option<u64>,
-    hub: Option<&HubOverride>,
 ) -> Var {
     let mut h = h0;
     let mut block: Option<Var> = None;
@@ -1350,10 +1018,7 @@ fn propagate_frontier(
             t.gather_scale_segment_sum(h, att, Arc::clone(tails), Arc::clone(heads), rows.len());
         let own = t.gather_rows_arc(h, Arc::clone(self_rows));
         let wb = (layer_w[l], layer_b[l]);
-        let mut out = layer_head(config, t, l, own, e_n, wb, dropout_key, rows);
-        if let Some(h_ov) = hub {
-            out = t.override_rows(out, Arc::clone(&h_ov.locals[l]), &h_ov.layers[l]);
-        }
+        let out = layer_head(config, t, l, own, e_n, wb, dropout_key, rows);
         let before = match block {
             Some(s) => s,
             None => t.gather_rows(h, &sub.seed_locals),
@@ -1452,86 +1117,6 @@ fn layer_attention_into(sub: &BatchSubgraph, att: &[f32], out: &mut Vec<Vec<f32>
     }
 }
 
-/// Full-graph layer-stack outputs of every hub, against the *current*
-/// (settled) parameters — the per-macro-step [`HubReps`] refresh. Runs
-/// the exact constants-tape forward of [`Ckat::final_representations`]
-/// (no dropout — cached hub values are deterministic), then slices each
-/// layer's column block down to the hub rows.
-#[allow(clippy::too_many_arguments)]
-fn compute_hub_reps(
-    config: &CkatConfig,
-    store: &ParamStore,
-    ent_emb: ParamId,
-    layer_w: &[ParamId],
-    layer_b: &[ParamId],
-    att: &[f32],
-    tails: &Arc<Vec<usize>>,
-    heads: &Arc<Vec<usize>>,
-    n_entities: usize,
-    hub_ids: &[usize],
-) -> Vec<Matrix> {
-    let mut t = Tape::new();
-    let ent = t.constant(store.value(ent_emb).clone());
-    let lw: Vec<Var> = layer_w.iter().map(|&p| t.constant(store.value(p).clone())).collect();
-    let lb: Vec<Var> = layer_b.iter().map(|&p| t.constant(store.value(p).clone())).collect();
-    let att_col = t.constant(Matrix::from_vec(att.len(), 1, att.to_vec()));
-    let all = propagate_over(
-        config,
-        &mut t,
-        ent,
-        att_col,
-        Arc::clone(tails),
-        Arc::clone(heads),
-        n_entities,
-        &lw,
-        &lb,
-        None,
-    );
-    let val = t.value(all);
-    let mut col = config.base.embed_dim;
-    let mut layers = Vec::with_capacity(config.layer_dims.len());
-    for &dim in &config.layer_dims {
-        let mut m = Matrix::zeros(hub_ids.len(), dim);
-        for (r, &g) in hub_ids.iter().enumerate() {
-            m.row_mut(r).copy_from_slice(&val.row(g)[col..col + dim]);
-        }
-        layers.push(m);
-        col += dim;
-    }
-    layers
-}
-
-/// Slice one batch's [`HubOverride`] out of the macro-step [`HubReps`]:
-/// per layer, the hubs among that layer's heads (a seed hub carries its
-/// slice, a cut hub none — either way the cache supplies its output), as
-/// strictly-increasing row positions with their cached values.
-fn build_hub_override(
-    sub: &BatchSubgraph,
-    hub_flags: &[bool],
-    hub_ids: &[usize],
-    reps: &HubReps,
-) -> Option<HubOverride> {
-    let mut any = false;
-    let (locals, layers) = sub
-        .layers
-        .iter()
-        .zip(&reps.layers)
-        .map(|(layer, cached)| {
-            let mut locals = Vec::new();
-            let mut rows = Vec::new();
-            for (pos, &g) in layer.rows.iter().enumerate() {
-                if hub_flags[g] {
-                    locals.push(pos);
-                    rows.push(hub_ids.binary_search(&g).expect("every hub flag has a hub id"));
-                }
-            }
-            any |= !locals.is_empty();
-            (Arc::new(locals), cached.gather_rows(&rows))
-        })
-        .unzip();
-    any.then_some(HubOverride { locals, layers })
-}
-
 /// Closed-form FLOP estimate for propagation layer `l` computing `rows`
 /// head rows from `edges` messages.
 fn layer_flops(config: &CkatConfig, l: usize, rows: u64, edges: u64) -> u64 {
@@ -1544,12 +1129,6 @@ fn layer_flops(config: &CkatConfig, l: usize, rows: u64, edges: u64) -> u64 {
     // Attention scaling plus segment-sum accumulation per message, the
     // dense layer matmul plus bias, then LeakyReLU and row normalization.
     2 * edges * in_dim + rows * (2 * w_rows + 1) * out + 4 * rows * out
-}
-
-/// Closed-form FLOP estimate for one full propagation forward pass, every
-/// layer over `rows` node rows and `edges` messages.
-fn propagation_flops(config: &CkatConfig, rows: u64, edges: u64) -> u64 {
-    (0..config.depth()).map(|l| layer_flops(config, l, rows, edges)).sum()
 }
 
 /// Account one batch subgraph's work: closure rows and edges gathered,
@@ -1595,11 +1174,11 @@ impl Recommender for Ckat {
             // Legacy per-batch path. Draw every mini-batch up front, in
             // the legacy interleaved order (BPR then TransR per batch,
             // stopping at the first empty BPR draw before its TransR
-            // draw). Both arms then take one dropout key per micro-batch
-            // from the same stream, in batch order, which is what lets
-            // the prefetching batch-local arm stay bitwise comparable to
-            // the full-graph oracle; drawing up front also hands the
-            // extraction worker every seed set. An empty first draw abandons
+            // draw). The loop then takes one dropout key per micro-batch
+            // from the same stream, in batch order, whatever its seed
+            // sets, which is what keeps batch-local seeding bitwise
+            // comparable to the every-entity oracle; drawing up front also
+            // hands the extraction worker every seed set. An empty first draw abandons
             // the epoch but still *falls through* to the invalidation
             // below — an earlier version returned 0.0 early and kept
             // serving stale eval caches.
@@ -1615,11 +1194,7 @@ impl Recommender for Ckat {
             }
             prof.sampling_ns += clock.elapsed().as_nanos() as u64;
 
-            if self.config.batch_local {
-                self.run_batches_local(ctx, &batches, rng, &mut prof)
-            } else {
-                self.run_batches_full(ctx, &batches, rng, &mut prof)
-            }
+            self.run_batches_local(ctx, &batches, rng, &mut prof)
         };
         // Every exit path must drop the eval caches *and* the per-edge
         // attention snapshot: parameters changed, so both are stale.
@@ -1666,10 +1241,6 @@ impl Recommender for Ckat {
         self.cached_users = None;
         self.cached_items = None;
         self.att_fresh = false;
-        // The restored parameters are arbitrary relative to the stamps;
-        // drop the hub cache rather than risk a stale match.
-        self.hub_cache = None;
-        self.param_version += 1;
         Ok(())
     }
 
@@ -1694,7 +1265,9 @@ impl Recommender for Ckat {
 mod tests {
     use super::*;
     use crate::common::TrainContext;
-    use crate::test_fixtures::{auc, toy_world};
+    use crate::test_fixtures::{
+        assert_sparse_frontiers_shrink, auc, sparse_world, toy_world, SPARSE_BATCH,
+    };
 
     fn fast_config() -> CkatConfig {
         let mut base = ModelConfig::fast();
@@ -1706,10 +1279,52 @@ mod tests {
             transr_dim: 16,
             margin: 1.0,
             batch_local: true,
-            hub_cache: true,
-            hub_percentile: 0.99,
             base,
         }
+    }
+
+    /// The propagation stack over a whole CSR edge view: `h0` holds one
+    /// embedding row per node, `tails`/`heads` are gather indices and segment
+    /// ids into those rows, and `att` is the matching `(E, 1)` per-edge
+    /// weight column; every layer computes every row, and the result is the
+    /// layer-concatenated representation of every node (Eq. 10). The
+    /// whole-graph oracle of [`propagate_frontier`] and of
+    /// [`Ckat::final_representations`]: a row's dropout mask is keyed by its
+    /// node id, so its rows at a batch's seeds match the frontier pass bit for
+    /// bit.
+    #[allow(clippy::too_many_arguments)]
+    fn propagate_over(
+        config: &CkatConfig,
+        t: &mut Tape,
+        h0: Var,
+        att: Var,
+        tails: Arc<Vec<usize>>,
+        heads: Arc<Vec<usize>>,
+        n_segments: usize,
+        layer_w: &[Var],
+        layer_b: &[Var],
+        dropout_key: Option<u64>,
+    ) -> Var {
+        let ids: Vec<usize> =
+            if dropout_key.is_some() { (0..n_segments).collect() } else { Vec::new() };
+        let mut h = h0;
+        let mut all = h0;
+        for l in 0..config.layer_dims.len() {
+            // One fused tape op replaces gather → scale → segment-sum: no
+            // `E × cols` intermediates hit memory, and the fusion is
+            // bit-transparent (same products, same add order), so every
+            // cross-mode equality the unfused chain satisfied still holds.
+            let e_n = t.gather_scale_segment_sum(
+                h,
+                att,
+                Arc::clone(&tails),
+                Arc::clone(&heads),
+                n_segments,
+            );
+            h = layer_head(config, t, l, h, e_n, (layer_w[l], layer_b[l]), dropout_key, &ids);
+            all = t.concat_cols(all, h);
+        }
+        all
     }
 
     #[test]
@@ -1942,181 +1557,30 @@ mod tests {
         let _ = Ckat::new(&ctx, &cfg);
     }
 
-    #[test]
-    fn hub_selection_respects_percentile() {
-        let (inter, ckg) = toy_world();
-        let ctx = TrainContext { inter: &inter, ckg: &ckg };
-
-        // Percentile 0.0: everything above the *minimum* degree is a hub.
-        let mut cfg = fast_config();
-        cfg.hub_percentile = 0.0;
-        let model = Ckat::new(&ctx, &cfg);
-        assert!(!model.hub_ids.is_empty(), "toy world has unequal degrees");
-        assert!(model.hub_ids.windows(2).all(|w| w[0] < w[1]));
-        for (g, &flag) in model.hub_flags.iter().enumerate() {
-            assert_eq!(flag, model.hub_ids.binary_search(&g).is_ok());
-        }
-        let min_deg =
-            (0..ckg.n_entities()).map(|g| ckg.offsets[g + 1] - ckg.offsets[g]).min().unwrap();
-        for &g in model.hub_ids.iter() {
-            assert!(ckg.offsets[g + 1] - ckg.offsets[g] > min_deg);
-        }
-
-        // Percentile ≥ 1.0 disables hub selection entirely.
-        let mut cfg = fast_config();
-        cfg.hub_percentile = 1.0;
-        let model = Ckat::new(&ctx, &cfg);
-        assert!(model.hub_ids.is_empty() && model.hub_flags.is_empty());
-
-        // So does turning the cache off.
-        let mut cfg = fast_config();
-        cfg.hub_percentile = 0.0;
-        cfg.hub_cache = false;
-        let model = Ckat::new(&ctx, &cfg);
-        assert!(model.hub_ids.is_empty());
+    /// A tape holding `model`'s parameters as leaves and, on top, the
+    /// whole-graph pass over its current attention: `(tape, entity leaf,
+    /// W_l leaves, b_l leaves, every entity's final representation)`.
+    fn whole_graph_tape(
+        model: &Ckat,
+        dropout_key: Option<u64>,
+    ) -> (Tape, Var, Vec<Var>, Vec<Var>, Var) {
+        let mut t = Tape::new();
+        let leaf = |t: &mut Tape, p: ParamId| t.leaf(model.store.value(p).clone());
+        let ent = leaf(&mut t, model.ent_emb);
+        let lw: Vec<Var> = model.layer_w.iter().map(|&p| leaf(&mut t, p)).collect();
+        let lb: Vec<Var> = model.layer_b.iter().map(|&p| leaf(&mut t, p)).collect();
+        let att = t.constant(Matrix::from_vec(model.att.len(), 1, model.att.clone()));
+        let (tails, heads) = (Arc::clone(&model.tails), Arc::clone(&model.heads));
+        let n = model.n_entities;
+        let all =
+            propagate_over(&model.config, &mut t, ent, att, tails, heads, n, &lw, &lb, dropout_key);
+        (t, ent, lw, lb, all)
     }
 
-    /// The cached hub values are the exact representations their full
-    /// neighborhoods produce, so the forward pass of the *first*
-    /// macro-step (before any stop-gradient apply can diverge the
-    /// trajectories) must be bitwise identical with the cache on or off.
-    /// Toy world fits one macro-step per epoch (3 batches ≤ MACRO_WIDTH).
-    #[test]
-    fn hub_cache_first_macro_step_loss_is_bitwise_exact() {
-        let (inter, ckg) = toy_world();
-        let ctx = TrainContext { inter: &inter, ckg: &ckg };
-        assert!(ctx.batches_per_epoch(ModelConfig::fast().batch_size) <= MACRO_WIDTH);
-        let mut cfg = fast_config();
-        cfg.base.replicas = 1;
-        cfg.hub_percentile = 0.25;
-        let mut cached = Ckat::new(&ctx, &cfg);
-        assert!(!cached.hub_ids.is_empty(), "percentile 0.25 must select hubs");
-        let mut plain_cfg = cfg.clone();
-        plain_cfg.hub_cache = false;
-        let mut plain = Ckat::new(&ctx, &plain_cfg);
-
-        let mut rng_a = seeded_rng(11);
-        let mut rng_b = seeded_rng(11);
-        let loss_cached = cached.train_epoch(&ctx, &mut rng_a);
-        let loss_plain = plain.train_epoch(&ctx, &mut rng_b);
-        assert_eq!(
-            loss_cached.to_bits(),
-            loss_plain.to_bits(),
-            "first-macro-step losses diverged: {loss_cached} vs {loss_plain}"
-        );
-        let prof = cached.take_epoch_profile().expect("profile recorded");
-        assert!(prof.hub_cache_ns > 0, "cache refresh must be timed");
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The hub override is remapped per layer: with the hubs cut out of
-    /// extraction and their cached values injected into each layer's own
-    /// head rows, a micro-batch's BPR loss is bitwise the uncut one, on a
-    /// world where the layers' head sets differ.
-    #[test]
-    fn per_layer_hub_override_is_bitwise_exact() {
-        use crate::test_fixtures::structured_world;
-        let (inter, ckg) = structured_world(300, 400, 4, 3);
-        let ctx = TrainContext { inter: &inter, ckg: &ckg };
-        let mut cfg = fast_config();
-        cfg.layer_dims = vec![16, 8, 4];
-        let mut model = Ckat::new(&ctx, &cfg);
-        assert!(!model.hub_ids.is_empty(), "the data-type entities are hubs");
-        model.refresh_attention(&ctx);
-        let bpr = sample_bpr_batch(&inter, 8, &mut seeded_rng(4));
-        let b = bpr.len();
-        let mut seeds: Vec<usize> = bpr.iter().map(|x| x.user as usize).collect();
-        seeds.extend(bpr.iter().map(|x| ckg.item_entity(x.pos)));
-        seeds.extend(bpr.iter().map(|x| ckg.item_entity(x.neg)));
-        let (seeds, pos_map) = dedup_seeds(&seeds);
-        let (depth, flags) = (cfg.depth(), model.hub_flags.clone());
-        let plain = model.scratch.extract(&ckg, &seeds, depth);
-        let cut =
-            model.scratch.extract_many(&ckg, &[seeds], depth, Some(&flags)).subgraphs.remove(0);
-        assert!(cut.n_edges() < plain.n_edges(), "the cut must drop hub slices");
-        let layers = compute_hub_reps(
-            &cfg,
-            &model.store,
-            model.ent_emb,
-            &model.layer_w,
-            &model.layer_b,
-            &model.att,
-            &model.tails,
-            &model.heads,
-            model.n_entities,
-            &model.hub_ids,
-        );
-        let reps = HubReps { param_version: 0, att_epoch: 0, layers };
-        let hub = build_hub_override(&cut, &flags, &model.hub_ids, &reps).expect("hub heads");
-        assert_ne!(hub.locals[0], hub.locals[1], "hub heads sit at other positions per layer");
-        let ids = (model.ent_emb, model.layer_w.as_slice(), model.layer_b.as_slice());
-        let loss = |mut sub: BatchSubgraph, hub: Option<&HubOverride>| {
-            let att = layer_attention(&sub, &model.att);
-            let mut t = Tape::new();
-            bpr_step(&mut t, &cfg, &model.store, ids, &mut sub, &att, &pos_map, b, None, hub).0.loss
-        };
-        assert_eq!(loss(cut, Some(&hub)).to_bits(), loss(plain, None).to_bits());
-    }
-
-    /// The cache is stamped with the parameter/attention versions it was
-    /// computed against and must be discarded when either moves.
-    #[test]
-    fn hub_cache_invalidates_on_stamp_movement() {
-        let (inter, ckg) = toy_world();
-        let ctx = TrainContext { inter: &inter, ckg: &ckg };
-        let mut cfg = fast_config();
-        cfg.base.replicas = 1;
-        cfg.hub_percentile = 0.0;
-        let mut model = Ckat::new(&ctx, &cfg);
-        let mut rng = seeded_rng(12);
-
-        model.train_epoch(&ctx, &mut rng);
-        let c1 = model.hub_cache.as_ref().expect("cache populated");
-        assert_eq!(c1.att_epoch, model.att_epoch);
-        assert!(
-            c1.param_version < model.param_version,
-            "the apply after the refresh must stale the cache"
-        );
-        let stamp1 = (c1.param_version, c1.att_epoch);
-
-        // Next epoch refreshes attention and applies again — both stamps
-        // must move, i.e. the cache was recomputed, not reused.
-        model.train_epoch(&ctx, &mut rng);
-        let c2 = model.hub_cache.as_ref().expect("cache repopulated");
-        assert!(c2.att_epoch > stamp1.1, "attention refresh must bump att_epoch");
-        assert!(c2.param_version > stamp1.0);
-
-        // Restoring a checkpoint drops the cache outright.
-        let state = model.save_state();
-        model.load_state(&state).unwrap();
-        assert!(model.hub_cache.is_none(), "load_state must drop the hub cache");
-    }
-
-    /// End-to-end: replica training with the hub cache active still
-    /// learns the toy world.
-    #[test]
-    fn replica_hub_cache_training_learns() {
-        let (inter, ckg) = toy_world();
-        let ctx = TrainContext { inter: &inter, ckg: &ckg };
-        let mut cfg = fast_config();
-        cfg.base.replicas = 2;
-        cfg.hub_percentile = 0.5;
-        let mut model = Ckat::new(&ctx, &cfg);
-        assert!(!model.hub_ids.is_empty());
-        let mut rng = seeded_rng(13);
-        let first = model.train_epoch(&ctx, &mut rng);
-        let mut last = first;
-        for _ in 0..30 {
-            last = model.train_epoch(&ctx, &mut rng);
-        }
-        assert!(last < first, "loss should fall with the hub cache on: {first} -> {last}");
-        model.prepare_eval(&ctx);
-        let a = auc(&model, &inter);
-        assert!(a > 0.7, "replica+hub-cache AUC {a}");
-    }
-
-    /// A second identical micro-batch on a reset tape reuses every large
-    /// buffer of the first — a change that routes an op around the tape's
-    /// slots fails here instead of quietly costing fresh pages per step.
     #[test]
     fn layerwise_final_representations_match_the_stacked_tape() {
         let (inter, ckg) = toy_world();
@@ -2124,16 +1588,101 @@ mod tests {
         let mut model = Ckat::new(&ctx, &fast_config());
         model.train_epoch(&ctx, &mut seeded_rng(3));
         model.refresh_attention(&ctx);
-        let mut t = Tape::new();
-        let constant = |t: &mut Tape, p: ParamId| t.constant(model.store.value(p).clone());
-        let ent = constant(&mut t, model.ent_emb);
-        let lw: Vec<Var> = model.layer_w.iter().map(|&p| constant(&mut t, p)).collect();
-        let lb: Vec<Var> = model.layer_b.iter().map(|&p| constant(&mut t, p)).collect();
-        let stacked = model.propagate(&mut t, ent, &lw, &lb, None);
-        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let (t, _, _, _, stacked) = whole_graph_tape(&model, None);
         assert_eq!(bits(t.value(stacked)), bits(&model.final_representations()));
     }
 
+    /// One micro-batch's frontier step against the whole-graph tape, on a
+    /// world where the closure and every layer's head set are strict
+    /// subsets of the graph: the loss, every entity-row gradient and every
+    /// `W_l`/`b_l` gradient agree bit for bit, for both aggregators, with
+    /// dropout off and on.
+    #[test]
+    fn frontier_step_matches_the_whole_graph_tape() {
+        let (inter, ckg) = sparse_world();
+        assert_sparse_frontiers_shrink(&inter, &ckg);
+        let ctx = TrainContext { inter: &inter, ckg: &ckg };
+        let bpr = sample_bpr_batch(&inter, SPARSE_BATCH, &mut seeded_rng(1));
+        let b = bpr.len();
+        let (seed_sets, pos_maps) = batch_seeds(&ckg, std::iter::once(bpr.as_slice()), false);
+        let (_, raw) = batch_seeds(&ckg, std::iter::once(bpr.as_slice()), true);
+        for aggregator in [Aggregator::Concat, Aggregator::Sum] {
+            for keep in [1.0, 0.8] {
+                let what = format!("{aggregator:?} keep {keep}");
+                let mut cfg = fast_config();
+                cfg.layer_dims = vec![16, 8, 4];
+                cfg.aggregator = aggregator;
+                cfg.base.keep_prob = keep;
+                let mut model = Ckat::new(&ctx, &cfg);
+                model.train_epoch(&ctx, &mut seeded_rng(3));
+                model.refresh_attention(&ctx);
+                let key = dropout_key(&cfg, &mut seeded_rng(2));
+                let mut sub = model.scratch.extract(&ckg, &seed_sets[0], cfg.depth());
+                assert!(sub.layers.iter().all(|l| l.rows.len() < sub.n_nodes()), "{what}");
+                let nodes = sub.nodes.clone();
+                let att = layer_attention(&sub, &model.att);
+                let ids = (model.ent_emb, model.layer_w.as_slice(), model.layer_b.as_slice());
+                let (step, _) = bpr_step(
+                    &mut Tape::new(),
+                    &cfg,
+                    &model.store,
+                    ids,
+                    &mut sub,
+                    &att,
+                    &pos_maps[0],
+                    b,
+                    key,
+                );
+
+                let (mut t, ent, lw, lb, all) = whole_graph_tape(&model, key);
+                let raw = &raw[0];
+                let u = t.gather_rows(all, &raw[..b]);
+                let i = t.gather_rows(all, &raw[b..2 * b]);
+                let j = t.gather_rows(all, &raw[2 * b..3 * b]);
+                let loss = bpr_loss(&mut t, u, i, j, b, cfg.base.l2);
+                t.backward(loss);
+                assert_eq!(step.loss.to_bits(), t.value(loss)[(0, 0)].to_bits(), "{what}: loss");
+                let dense = |p: ParamId| {
+                    let var = if p == model.ent_emb {
+                        ent
+                    } else if let Some(l) = model.layer_w.iter().position(|&w| w == p) {
+                        lw[l]
+                    } else {
+                        lb[model.layer_b.iter().position(|&x| x == p).expect("a layer bias")]
+                    };
+                    t.grad(var).expect("every parameter takes a gradient")
+                };
+                assert_eq!(step.grads.len(), 1 + 2 * cfg.depth(), "{what}: one gradient each");
+                for (p, g) in &step.grads {
+                    let full = dense(*p);
+                    match g {
+                        Grad::Dense(g) => assert_eq!(bits(g), bits(full), "{what}: layer gradient"),
+                        Grad::Sparse(g) => {
+                            assert_eq!(g.rows, nodes, "{what}: the closure rows");
+                            for (k, &row) in g.rows.iter().enumerate() {
+                                let (x, y) = (g.values.row(k), full.row(row));
+                                let (x, y) =
+                                    (x.iter().map(|v| v.to_bits()), y.iter().map(|v| v.to_bits()));
+                                assert!(x.eq(y), "{what}: entity row {row}");
+                            }
+                            for row in
+                                (0..ckg.n_entities()).filter(|r| g.rows.binary_search(r).is_err())
+                            {
+                                assert!(
+                                    full.row(row).iter().all(|&v| v == 0.0),
+                                    "{what}: row {row}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A second identical micro-batch on a reset tape reuses every large
+    /// buffer of the first — a change that routes an op around the tape's
+    /// slots fails here instead of quietly costing fresh pages per step.
     #[test]
     fn identical_micro_batch_reuses_every_large_tape_buffer() {
         use crate::test_fixtures::structured_world;
@@ -2168,7 +1717,6 @@ mod tests {
                 &pos_map,
                 b,
                 Some(9),
-                None,
             );
             out.loss.to_bits()
         };

@@ -54,11 +54,6 @@ pub struct EpochProfile {
     /// extraction happens on the main thread. Part of
     /// [`EpochProfile::train_ns`].
     pub extract_wait_ns: u64,
-    /// Time computing the per-macro-step hub-representation cache (the
-    /// full-graph forward over the frozen snapshot plus the per-layer row
-    /// gathers). Main thread, replica mode with the hub cache on; 0
-    /// otherwise. Part of [`EpochProfile::train_ns`].
-    pub hub_cache_ns: u64,
     /// Time folding per-replica gradients into the macro-step gradient
     /// (main thread, replica mode only; 0 on the per-batch paths).
     pub reduce_ns: u64,
@@ -112,8 +107,8 @@ impl EpochProfile {
 
     /// Total instrumented wall time (training phases only): sampling,
     /// attention refresh, forward, backward, optimizer, critical-path
-    /// extraction ([`EpochProfile::extract_wall_ns`]), the hub-cache
-    /// refresh, and any time blocked on subgraph prefetch. Aggregate
+    /// extraction ([`EpochProfile::extract_wall_ns`]) and any time blocked
+    /// on subgraph prefetch. Aggregate
     /// extraction CPU ([`EpochProfile::extract_ns`]) is excluded — under
     /// concurrency it double-counts time that other fields already
     /// attribute to the critical path.
@@ -125,7 +120,6 @@ impl EpochProfile {
             + self.optimizer_ns
             + self.extract_wall_ns
             + self.extract_wait_ns
-            + self.hub_cache_ns
     }
 }
 
@@ -170,18 +164,17 @@ mod tests {
     }
 
     #[test]
-    fn train_ns_counts_wall_attributed_extraction_and_hub_cache() {
-        // Replica-mode shape: union extraction + hub cache on the main
-        // thread, no prefetch blocking, aggregate CPU reported separately.
+    fn train_ns_counts_wall_attributed_extraction() {
+        // Replica-mode shape: union extraction on the main thread, no
+        // prefetch blocking, aggregate CPU reported separately.
         let p = EpochProfile {
             forward_ns: 10,
             backward_ns: 20,
             extract_ns: 9999,
             extract_wall_ns: 7,
             extract_wait_ns: 0,
-            hub_cache_ns: 5,
             ..Default::default()
         };
-        assert_eq!(p.train_ns(), 10 + 20 + 7 + 5);
+        assert_eq!(p.train_ns(), 10 + 20 + 7);
     }
 }

@@ -24,7 +24,7 @@
 //! Workers only run tapes: the macro-step's *prepare* phase — sampling,
 //! the shared union subgraph extraction
 //! (`facility_kg::subgraph::SubgraphScratch::extract_many`), and the
-//! hub-representation cache refresh — happens once on the main thread
+//! lazy-Adam catch-up of the rows it reads — happens once on the main thread
 //! before the pool is invoked, so per-batch work contains no redundant
 //! traversal and aggregate extraction cost is independent of the
 //! replica count (DESIGN.md §4f).

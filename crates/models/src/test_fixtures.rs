@@ -5,23 +5,9 @@ use crate::Recommender;
 use facility_kg::{Ckg, CkgBuilder, Id, Interactions, KnowledgeSource, SourceMask};
 use facility_linalg::seeded_rng;
 
-/// A small world with obvious structure: items with the same `type`
-/// attribute are co-queried, and two user pairs are co-located. 4 users ×
-/// 6 items keeps every model's epoch under a millisecond.
-pub(crate) fn toy_world() -> (Interactions, Ckg) {
-    let events: Vec<(Id, Id)> =
-        vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 3), (2, 2), (2, 4), (3, 1), (3, 5)];
-    let inter = Interactions::split(4, 6, &events, 0.0, &mut seeded_rng(0));
-    let mut b = CkgBuilder::new(4, 6);
-    b.add_interactions(&inter.train_pairs);
-    b.add_user_user(&[(0, 1), (2, 3)]);
-    for i in 0..6u32 {
-        b.add_item_attribute(KnowledgeSource::Loc, "locatedAt", i, format!("site:{}", i % 2));
-        b.add_item_attribute(KnowledgeSource::Dkg, "hasDataType", i, format!("type:{}", i % 3));
-    }
-    let ckg = b.build(SourceMask::all());
-    (inter, ckg)
-}
+#[path = "../tests/common/mod.rs"]
+mod worlds;
+pub(crate) use worlds::{assert_sparse_frontiers_shrink, sparse_world, toy_world, SPARSE_BATCH};
 
 /// A slightly larger world where knowledge correlates strongly with
 /// interactions: users query items that share a data type. Useful for

@@ -10,27 +10,14 @@
 //! per-epoch losses, same parameters, same final representations — not
 //! merely close ones, with dropout on or off.
 
+mod common;
+
+use common::{assert_sparse_frontiers_shrink, sparse_world, toy_world, SPARSE_BATCH};
 use facility_kg::sampling::sample_bpr_batch;
-use facility_kg::{CkgBuilder, Id, Interactions, KnowledgeSource, SourceMask, SubgraphScratch};
+use facility_kg::SubgraphScratch;
 use facility_linalg::seeded_rng;
 use facility_models::ckat::{Aggregator, Ckat, CkatConfig};
 use facility_models::{ModelConfig, Recommender, TrainContext};
-
-/// The same toy world the in-crate unit tests use: 4 users, 6 items, two
-/// co-location pairs, and location/data-type attributes.
-fn toy_world() -> (Interactions, facility_kg::Ckg) {
-    let events: Vec<(Id, Id)> =
-        vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 3), (2, 2), (2, 4), (3, 1), (3, 5)];
-    let inter = Interactions::split(4, 6, &events, 0.0, &mut seeded_rng(0));
-    let mut b = CkgBuilder::new(4, 6);
-    b.add_interactions(&inter.train_pairs);
-    b.add_user_user(&[(0, 1), (2, 3)]);
-    for i in 0..6u32 {
-        b.add_item_attribute(KnowledgeSource::Loc, "locatedAt", i, format!("site:{}", i % 2));
-        b.add_item_attribute(KnowledgeSource::Dkg, "hasDataType", i, format!("type:{}", i % 3));
-    }
-    (inter, b.build(SourceMask::all()))
-}
 
 fn config(layer_dims: Vec<usize>, aggregator: Aggregator, batch_local: bool) -> CkatConfig {
     dropout_config(layer_dims, aggregator, batch_local, 1.0)
@@ -51,8 +38,6 @@ fn dropout_config(
         transr_dim: 16,
         margin: 1.0,
         batch_local,
-        hub_cache: true,
-        hub_percentile: 0.99,
         base,
     }
 }
@@ -130,7 +115,7 @@ fn union_extraction_matches_independent_extraction_at_all_widths() {
                 s
             })
             .collect();
-        let union = union_scratch.extract_many(&ckg, &seed_sets, depth, None);
+        let union = union_scratch.extract_many(&ckg, &seed_sets, depth);
         assert_eq!(union.subgraphs.len(), width);
         for (b, seeds) in seed_sets.iter().enumerate() {
             let solo = solo_scratch.extract(&ckg, seeds, depth);
@@ -164,26 +149,6 @@ fn two_epoch_trajectories_are_bitwise_identical() {
     }
 }
 
-/// A sparser world for the dropout cases: 30 users with two items each
-/// out of 40, ten sites and eight data types, so that a 4-triple batch's
-/// closure and every layer's head set are strict subsets of the graph,
-/// and head positions differ from entity ids.
-fn sparse_world() -> (Interactions, facility_kg::Ckg) {
-    let events: Vec<(Id, Id)> =
-        (0..30u32).flat_map(|u| [(u, (u * 7) % 40), (u, (u * 11 + 3) % 40)]).collect();
-    let inter = Interactions::split(30, 40, &events, 0.0, &mut seeded_rng(0));
-    let mut b = CkgBuilder::new(30, 40);
-    b.add_interactions(&inter.train_pairs);
-    b.add_user_user(&[(0, 1), (2, 3), (10, 11)]);
-    for i in 0..40u32 {
-        b.add_item_attribute(KnowledgeSource::Loc, "locatedAt", i, format!("site:{}", i % 10));
-        b.add_item_attribute(KnowledgeSource::Dkg, "hasDataType", i, format!("type:{}", i % 8));
-    }
-    (inter, b.build(SourceMask::all()))
-}
-
-const SPARSE_BATCH: usize = 4;
-
 fn sparse_config(dims: Vec<usize>, aggregator: Aggregator, local: bool, keep: f32) -> CkatConfig {
     let mut cfg = dropout_config(dims, aggregator, local, keep);
     cfg.base.batch_size = SPARSE_BATCH;
@@ -201,13 +166,7 @@ fn trajectories_are_bitwise_identical_under_dropout() {
     let ctx = TrainContext { inter: &inter, ckg: &ckg };
     // The frontiers must matter: a batch's layers compute fewer rows than
     // its closure holds, and the closure is not the whole graph.
-    let bpr = sample_bpr_batch(&inter, SPARSE_BATCH, &mut seeded_rng(1));
-    let mut seeds: Vec<usize> = bpr.iter().map(|x| x.user as usize).collect();
-    seeds.extend(bpr.iter().map(|x| ckg.item_entity(x.pos)));
-    seeds.extend(bpr.iter().map(|x| ckg.item_entity(x.neg)));
-    let sub = SubgraphScratch::new(ckg.n_entities()).extract(&ckg, &seeds, 3);
-    assert!(sub.n_nodes() < ckg.n_entities(), "the closure covers the graph");
-    assert!(sub.layers.iter().all(|l| l.rows.len() < sub.n_nodes()), "a layer computes every row");
+    assert_sparse_frontiers_shrink(&inter, &ckg);
 
     for aggregator in [Aggregator::Concat, Aggregator::Sum] {
         for dims in [vec![16], vec![16, 8], vec![16, 8, 4]] {

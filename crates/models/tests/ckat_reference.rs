@@ -81,8 +81,6 @@ fn tape_propagation_matches_naive_reference() {
         transr_dim: 6,
         margin: 1.0,
         batch_local: true,
-        hub_cache: true,
-        hub_percentile: 0.99,
         base,
     };
     let mut model = Ckat::new(&ctx, &config);

@@ -9,28 +9,15 @@
 //! bitwise: same per-epoch losses, same final parameters, dropout on or
 //! off.
 
-use facility_kg::{CkgBuilder, Id, Interactions, KnowledgeSource, SourceMask};
+mod common;
+
+use common::{assert_sparse_frontiers_shrink, sparse_world, toy_world, SPARSE_BATCH};
+use facility_kg::{Ckg, Interactions};
 use facility_linalg::seeded_rng;
 use facility_models::bprmf::Bprmf;
 use facility_models::cfkg::Cfkg;
 use facility_models::ckat::{Aggregator, Ckat, CkatConfig};
 use facility_models::{ModelConfig, Recommender, TrainContext};
-
-/// The same toy world the in-crate unit tests use: 4 users, 6 items, two
-/// co-location pairs, and location/data-type attributes.
-fn toy_world() -> (Interactions, facility_kg::Ckg) {
-    let events: Vec<(Id, Id)> =
-        vec![(0, 0), (0, 1), (0, 2), (1, 0), (1, 3), (2, 2), (2, 4), (3, 1), (3, 5)];
-    let inter = Interactions::split(4, 6, &events, 0.0, &mut seeded_rng(0));
-    let mut b = CkgBuilder::new(4, 6);
-    b.add_interactions(&inter.train_pairs);
-    b.add_user_user(&[(0, 1), (2, 3)]);
-    for i in 0..6u32 {
-        b.add_item_attribute(KnowledgeSource::Loc, "locatedAt", i, format!("site:{}", i % 2));
-        b.add_item_attribute(KnowledgeSource::Dkg, "hasDataType", i, format!("type:{}", i % 3));
-    }
-    (inter, b.build(SourceMask::all()))
-}
 
 fn base_config(replicas: usize, keep_prob: f32) -> ModelConfig {
     let mut base = ModelConfig::fast();
@@ -48,20 +35,8 @@ fn ckat_config(replicas: usize, keep_prob: f32) -> CkatConfig {
         transr_dim: 16,
         margin: 1.0,
         batch_local: true,
-        hub_cache: true,
-        // The toy world is tiny; 0.99 selects no hubs, so these tests run
-        // the plain union-extraction path unless they lower it.
-        hub_percentile: 0.99,
         base: base_config(replicas, keep_prob),
     }
-}
-
-/// `ckat_config` with the hub-representation cache actually *active*:
-/// a low percentile so the toy world has hubs.
-fn ckat_hub_config(replicas: usize, keep_prob: f32) -> CkatConfig {
-    let mut cfg = ckat_config(replicas, keep_prob);
-    cfg.hub_percentile = 0.25;
-    cfg
 }
 
 fn assert_states_bitwise(a: &dyn Recommender, b: &dyn Recommender, what: &str) {
@@ -76,17 +51,21 @@ fn assert_states_bitwise(a: &dyn Recommender, b: &dyn Recommender, what: &str) {
     }
 }
 
-/// Train the same model under every replica count and demand identical
-/// loss trajectories and final parameters. `R = 1` is the serial
-/// reference (inline execution, no worker threads), so this subsumes
-/// both "R=1 matches the single-threaded path" and "R∈{2,4} match each
-/// other".
-fn assert_replica_counts_match<M, F>(build: F, epochs: usize, what: &str)
-where
+/// Train the same model on `world` under every replica count and demand
+/// identical loss trajectories and final parameters. `R = 1` is the
+/// serial reference (inline execution, no worker threads), so this
+/// subsumes both "R=1 matches the single-threaded path" and "every count
+/// in `others` matches it".
+fn assert_replica_counts_match<M, F>(
+    (inter, ckg): (Interactions, Ckg),
+    others: &[usize],
+    build: F,
+    epochs: usize,
+    what: &str,
+) where
     M: Recommender,
     F: Fn(&TrainContext<'_>, usize) -> M,
 {
-    let (inter, ckg) = toy_world();
     let ctx = TrainContext { inter: &inter, ckg: &ckg };
     let mut reference = build(&ctx, 1);
     let mut ref_losses = Vec::new();
@@ -94,7 +73,7 @@ where
     for _ in 0..epochs {
         ref_losses.push(reference.train_epoch(&ctx, &mut rng));
     }
-    for replicas in [2usize, 4, 8] {
+    for &replicas in others {
         let mut model = build(&ctx, replicas);
         let mut rng = seeded_rng(42);
         for (epoch, &ref_loss) in ref_losses.iter().enumerate() {
@@ -112,6 +91,8 @@ where
 #[test]
 fn ckat_replica_counts_produce_identical_runs() {
     assert_replica_counts_match(
+        toy_world(),
+        &[2, 4, 8],
         |ctx, r| Ckat::new(ctx, &ckat_config(r, 1.0)),
         3,
         "CKAT (no dropout)",
@@ -124,42 +105,47 @@ fn ckat_replica_counts_produce_identical_runs() {
 #[test]
 fn ckat_replica_counts_match_with_dropout_on() {
     assert_replica_counts_match(
+        toy_world(),
+        &[2, 4, 8],
         |ctx, r| Ckat::new(ctx, &ckat_config(r, 0.7)),
         3,
         "CKAT (dropout 0.7)",
     );
 }
 
-/// The hub-representation cache recomputes against the frozen snapshot
-/// once per macro-step on the main thread, so it is part of the fixed
-/// schedule: runs must stay bitwise identical across replica counts with
-/// the cache *on* — with and without dropout.
+/// On a world where the frontiers shrink — each micro-batch's closure is
+/// a strict subset of the graph and every layer computes fewer rows than
+/// the closure — the union extraction derives genuinely different
+/// subgraphs per micro-batch, and runs must still be bitwise identical
+/// across replica counts with dropout on.
 #[test]
-fn ckat_replica_counts_match_with_hub_cache_on() {
+fn ckat_replica_counts_match_on_a_sparse_world_with_dropout() {
+    let (inter, ckg) = sparse_world();
+    assert_sparse_frontiers_shrink(&inter, &ckg);
     assert_replica_counts_match(
+        (inter, ckg),
+        &[2, 4],
         |ctx, r| {
-            let model = Ckat::new(ctx, &ckat_hub_config(r, 1.0));
-            assert!(model.hub_count() > 0, "percentile 0.25 must select hubs");
-            model
+            let mut cfg = ckat_config(r, 0.8);
+            cfg.layer_dims = vec![16, 8, 4];
+            cfg.base.batch_size = SPARSE_BATCH;
+            Ckat::new(ctx, &cfg)
         },
-        3,
-        "CKAT (hub cache)",
-    );
-    assert_replica_counts_match(
-        |ctx, r| Ckat::new(ctx, &ckat_hub_config(r, 0.7)),
-        3,
-        "CKAT (hub cache, dropout 0.7)",
+        2,
+        "CKAT (sparse world, dropout 0.8)",
     );
 }
 
 #[test]
 fn bprmf_replica_counts_produce_identical_runs() {
-    assert_replica_counts_match(|ctx, r| Bprmf::new(ctx, &base_config(r, 1.0)), 4, "BPRMF");
+    let build = |ctx: &TrainContext<'_>, r| Bprmf::new(ctx, &base_config(r, 1.0));
+    assert_replica_counts_match(toy_world(), &[2, 4, 8], build, 4, "BPRMF");
 }
 
 #[test]
 fn cfkg_replica_counts_produce_identical_runs() {
-    assert_replica_counts_match(|ctx, r| Cfkg::new(ctx, &base_config(r, 1.0)), 4, "CFKG");
+    let build = |ctx: &TrainContext<'_>, r| Cfkg::new(ctx, &base_config(r, 1.0));
+    assert_replica_counts_match(toy_world(), &[2, 4, 8], build, 4, "CFKG");
 }
 
 /// The replica path must actually train, not just be self-consistent.
@@ -200,17 +186,8 @@ fn replica_profile_reports_pool_accounting() {
         "replica mode never blocks on a prefetch channel — the old \
          prepare-barrier misattribution must stay gone"
     );
-    assert_eq!(prof.hub_cache_ns, 0, "no hubs selected at percentile 0.99");
     assert!(prof.wall_ns > 0, "wall clock stamped");
     assert!(prof.gathered_rows <= prof.full_rows);
-
-    // With the hub cache active, the refresh is timed and the cache's
-    // full-graph pass is accounted as gathered work.
-    let mut hub = Ckat::new(&ctx, &ckat_hub_config(2, 1.0));
-    hub.train_epoch(&ctx, &mut rng);
-    let hprof = hub.take_epoch_profile().expect("profile recorded");
-    assert!(hprof.hub_cache_ns > 0, "hub cache refresh timed");
-    assert_eq!(hprof.extract_wait_ns, 0);
 
     // The legacy path stamps wall_ns too, and reports replicas = 0.
     let mut legacy = Ckat::new(&ctx, &ckat_config(0, 1.0));

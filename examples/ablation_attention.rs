@@ -55,8 +55,6 @@ fn main() {
             transr_dim: 32,
             margin: 1.0,
             batch_local: true,
-            hub_cache: true,
-            hub_percentile: 0.99,
             base: base.clone(),
         };
         let report = exp.run_ckat(&cfg, &settings);

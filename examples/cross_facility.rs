@@ -104,8 +104,6 @@ fn main() {
         transr_dim: 16,
         margin: 1.0,
         batch_local: true,
-        hub_cache: true,
-        hub_percentile: 0.99,
         base,
     };
     let ctx = TrainContext { inter: &inter, ckg: &ckg };

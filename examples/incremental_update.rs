@@ -27,8 +27,6 @@ fn ckat_config() -> CkatConfig {
         transr_dim: 16,
         margin: 1.0,
         batch_local: true,
-        hub_cache: true,
-        hub_percentile: 0.99,
         base,
     }
 }

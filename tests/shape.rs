@@ -46,8 +46,6 @@ fn ckat_cfg() -> CkatConfig {
         transr_dim: 16,
         margin: 1.0,
         batch_local: true,
-        hub_cache: true,
-        hub_percentile: 0.99,
         base: cfg(),
     }
 }
